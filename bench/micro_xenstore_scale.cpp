@@ -11,6 +11,8 @@
 //    (was a linear scan over every registered watch per mutation)
 //  - disjoint-path transaction commit: per-path read/write-set validation
 //    (was a whole-store generation check that aborted on any activity)
+//  - XenStore-State recovery box (TakeSnapshot + RestoreSnapshot): O(1)
+//    tree share plus an O(owners) copy of the per-owner node counters
 //
 // Results are written to BENCH_xenstore.json (override with
 // --benchmark_out=...) so future PRs can track the trajectory.
@@ -132,15 +134,27 @@ void BM_WatchDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_WatchDispatch)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
+// The XenStore-State recovery box: checkpoint, mutate, roll back. The
+// per-owner node counters are copied both ways, so nodes are spread one
+// owner per 10 nodes, as a dense host's per-guest directories are, to make
+// that O(owners) cost show.
 void BM_SnapshotTakeRestore(benchmark::State& state) {
   XsStore store;
   store.AddManagerDomain(kManager);
-  Populate(store, static_cast<int>(state.range(0)), kManager);
+  const int nodes = static_cast<int>(state.range(0));
+  Populate(store, nodes, kManager);
+  XsNodePerms perms;
+  for (int i = 0; i < nodes; ++i) {
+    perms.owner = DomainId(static_cast<std::uint32_t>(1 + i / 10));
+    (void)store.SetPerms(kManager,
+                         StrFormat("/local/domain/%d/n%d", i % 64, i), perms);
+  }
   for (auto _ : state) {
     XsStore::Snapshot snapshot = store.TakeSnapshot();
     (void)store.Write(kManager, "/local/domain/0/scratch", "x");
     store.RestoreSnapshot(snapshot);
   }
+  state.counters["owners"] = static_cast<double>((nodes + 9) / 10);
 }
 BENCHMARK(BM_SnapshotTakeRestore)->Arg(1000)->Arg(10000)->Arg(100000);
 

@@ -130,9 +130,6 @@ Status XoarPlatform::Boot() {
                         CreateShardDomainDirect(ShardClass::kXenStoreLogic));
   control_plane_doms_.insert(xenstore_logic_dom_);
   xs_->DeploySplit(xenstore_logic_dom_, xenstore_state_doms_);
-  if (c.xenstore_per_request_restarts) {
-    xs_->set_restart_policy(XenStoreService::RestartPolicy::kPerRequest);
-  }
   sim_.RunUntil(t_xenstore);
 
   // --- Phase 3a: Console Manager (provides consoles for later shards) ---

@@ -60,9 +60,6 @@ class XoarPlatform : public Platform {
     bool destroy_pciback_after_boot = false;
     bool destroy_bootstrapper_after_boot = true;
 
-    // Fig 5.1: XenStore-Logic is restarted on each request.
-    bool xenstore_per_request_restarts = true;
-
     // Cloud-density scale-out (SCALING.md): partition XenStore-State into
     // this many path-prefix shards, each hosted in its own shard domain
     // and independently microrebootable. A State-shard restart only

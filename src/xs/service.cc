@@ -159,25 +159,13 @@ Status XenStoreService::CheckShardForPath(std::string_view path) {
 void XenStoreService::NoteRequestServed() {
   ++requests_processed_;
   m_requests_->Increment();
-  if (restart_policy_ == RestartPolicy::kPerRequest) {
-    // Fig 5.1: XenStore-Logic rolls back to its post-boot snapshot after
-    // every request. The rollback itself is fast (copy-on-write reset);
-    // state lives in XenStore-State so nothing is renegotiated. Taking and
-    // dropping the checkpoint is O(1) with the COW store.
-    (void)store_.TakeSnapshot();
+  if (!monolithic_) {
+    // Fig 5.1: XenStore-Logic is restarted after every request. It holds no
+    // state — the contents live in XenStore-State — so the restart copies
+    // and rolls back nothing; it is only counted.
     ++logic_restarts_;
     m_logic_restarts_->Increment();
   }
-}
-
-void XenStoreService::FinishLogicRestart() {
-  // XenStore-Logic re-attaches to the contents held by XenStore-State
-  // (§5.1). Requests were gated while Logic was down, so the checkpoint is
-  // the current state and re-attaching is an O(1) no-op — the COW snapshot
-  // replaces the old full Serialize/Restore round trip.
-  store_.RestoreSnapshot(pre_restart_state_);
-  pre_restart_state_ = XsShardedStore::Snapshot();
-  logic_available_ = true;
 }
 
 StatusOr<std::string> XenStoreService::Read(DomainId caller,
@@ -289,7 +277,6 @@ Status XenStoreService::BeginLogicRestart() {
   if (!logic_available_) {
     return FailedPreconditionError("XenStore-Logic already restarting");
   }
-  pre_restart_state_ = store_.TakeSnapshot();
   logic_available_ = false;
   ++logic_restarts_;
   m_logic_restarts_->Increment();
@@ -300,7 +287,10 @@ Status XenStoreService::CompleteLogicRestart() {
   if (logic_available_) {
     return FailedPreconditionError("XenStore-Logic is not restarting");
   }
-  FinishLogicRestart();
+  // Logic re-attaches to the contents XenStore-State kept throughout
+  // (§5.1); connections persist there too, so clients resume without
+  // renegotiation.
+  logic_available_ = true;
   return Status::Ok();
 }
 
@@ -341,41 +331,6 @@ Status XenStoreService::CompleteStateShardRestart(int shard) {
   // exactly 1/N of the tenants renegotiate, the rest never notice.
   store_.DropShardVolatileState(shard);
   shard_available_[shard] = true;
-  return Status::Ok();
-}
-
-Status XenStoreService::RestartStateShard(int shard, SimDuration downtime) {
-  XOAR_RETURN_IF_ERROR(BeginStateShardRestart(shard));
-  sim_->ScheduleAfter(downtime, [this, shard] {
-    (void)CompleteStateShardRestart(shard);
-    XLOG(kDebug) << "[xs] XenStore-State shard " << shard
-                 << " back after restart #" << state_shard_restarts_;
-  });
-  return Status::Ok();
-}
-
-Status XenStoreService::RestartLogic(SimDuration downtime) {
-  if (!deployed()) {
-    return FailedPreconditionError("XenStore service not deployed");
-  }
-  if (monolithic_) {
-    return FailedPreconditionError(
-        "stock xenstored cannot be restarted independently of Dom0");
-  }
-  if (!logic_available_) {
-    return FailedPreconditionError("XenStore-Logic already restarting");
-  }
-  pre_restart_state_ = store_.TakeSnapshot();
-  logic_available_ = false;
-  ++logic_restarts_;
-  m_logic_restarts_->Increment();
-  sim_->ScheduleAfter(downtime, [this] {
-    // Connections persist in the state component, so clients resume
-    // without renegotiation.
-    FinishLogicRestart();
-    XLOG(kDebug) << "[xs] XenStore-Logic back after restart #"
-                 << logic_restarts_;
-  });
   return Status::Ok();
 }
 

@@ -43,12 +43,6 @@ constexpr SimDuration kXsWatchLatency = 30 * kMicrosecond;
 
 class XenStoreService {
  public:
-  enum class RestartPolicy {
-    kNever,       // stock xenstored
-    kPerRequest,  // XenStore-Logic in Xoar (Fig 5.1: "restarted on each
-                  // request"); rollback cost is charged per request
-  };
-
   // `obs` is forwarded to the backing XsStore and receives
   // `xenstore.service.*` counters; nullptr falls back to Obs::Global().
   XenStoreService(Hypervisor* hv, Simulator* sim, Obs* obs = nullptr);
@@ -72,8 +66,6 @@ class XenStoreService {
   bool deployed() const { return logic_domain_.valid(); }
 
   XsShardedStore& store() { return store_; }
-
-  void set_restart_policy(RestartPolicy policy) { restart_policy_ = policy; }
 
   // Establishes a client connection: one shared page granted (or foreign-
   // mapped in stock mode) from the client to the logic domain plus an event
@@ -108,18 +100,18 @@ class XenStoreService {
                  std::string_view value, XsStore::TxId tx);
 
   // --- Microreboot of XenStore-Logic ---
-
-  // Takes the logic component down for `downtime`; requests meanwhile fail
-  // with UNAVAILABLE. State (the store contents and watch registrations)
-  // lives in XenStore-State and survives.
-  Status RestartLogic(SimDuration downtime);
-  bool logic_available() const { return logic_available_; }
-
-  // Split-phase variant used by the RestartEngine, which owns the timing:
-  // Begin marks the logic shard down, Complete re-attaches it to the state
-  // shard.
+  //
+  // XenStore-Logic holds no state (Fig 5.1): the store contents and watch
+  // registrations live in XenStore-State, so a split deployment restarts
+  // Logic after every request it serves — each one counts in
+  // logic_restarts() — and nothing is rolled back. The caller (the
+  // RestartEngine, the watchdog, or a test) owns an outage's timing: Begin
+  // takes Logic down, so requests fail with UNAVAILABLE until Complete
+  // re-attaches it to State. Stock xenstored lives inside Dom0 and cannot
+  // be restarted on its own.
   Status BeginLogicRestart();
   Status CompleteLogicRestart();
+  bool logic_available() const { return logic_available_; }
 
   // --- Microreboot of one XenStore-State shard ---
   //
@@ -128,7 +120,6 @@ class XenStoreService {
   // contents survive (recovery-box snapshot taken at Begin); its tenants'
   // watches and in-flight transactions are dropped and re-registered by
   // clients, exactly as after a Logic restart loses a connection.
-  Status RestartStateShard(int shard, SimDuration downtime);
   Status BeginStateShardRestart(int shard);
   Status CompleteStateShardRestart(int shard);
   int state_shard_count() const { return store_.shard_count(); }
@@ -167,7 +158,6 @@ class XenStoreService {
   Status CheckShardForPath(std::string_view path);
   Status CheckShard(int shard);
   void NoteRequestServed();
-  void FinishLogicRestart();
 
   Hypervisor* hv_;
   Simulator* sim_;
@@ -182,12 +172,8 @@ class XenStoreService {
   std::vector<DomainId> state_domains_;
   bool monolithic_ = false;
   bool logic_available_ = false;
-  RestartPolicy restart_policy_ = RestartPolicy::kNever;
   RequestFaultHook request_fault_hook_;
   std::map<DomainId, Connection> connections_;
-  // State-component checkpoint taken when Logic goes down; Logic re-attaches
-  // to it on the way back up. O(1) both ways (copy-on-write tree share).
-  XsShardedStore::Snapshot pre_restart_state_;
   // Per-State-shard availability and recovery-box checkpoints.
   std::vector<bool> shard_available_;
   std::vector<XsStore::Snapshot> shard_pre_restart_;

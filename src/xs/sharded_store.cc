@@ -395,24 +395,6 @@ void XsShardedStore::Restore(const std::vector<FlatNode>& nodes) {
   }
 }
 
-XsShardedStore::Snapshot XsShardedStore::TakeSnapshot() const {
-  Snapshot snapshot;
-  snapshot.shards_.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    snapshot.shards_.push_back(shard->TakeSnapshot());
-  }
-  return snapshot;
-}
-
-void XsShardedStore::RestoreSnapshot(const Snapshot& snapshot) {
-  if (snapshot.shards_.size() != shards_.size()) {
-    return;  // taken under a different partitioning; not applicable
-  }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->RestoreSnapshot(snapshot.shards_[i]);
-  }
-}
-
 XsStore::Snapshot XsShardedStore::TakeShardSnapshot(int index) const {
   return shards_[index]->TakeSnapshot();
 }

@@ -111,19 +111,6 @@ class XsShardedStore {
   // Replaces every shard's contents with the routed subset of `nodes`.
   void Restore(const std::vector<FlatNode>& nodes);
 
-  // O(1)-per-shard checkpoint of the whole sharded store.
-  class Snapshot {
-   public:
-    Snapshot() = default;
-    bool valid() const { return !shards_.empty(); }
-
-   private:
-    friend class XsShardedStore;
-    std::vector<XsStore::Snapshot> shards_;
-  };
-  Snapshot TakeSnapshot() const;
-  void RestoreSnapshot(const Snapshot& snapshot);
-
   // Per-shard microreboot support: checkpoint one partition, restore it,
   // and drop its volatile tenant state (watches, transactions). The facade
   // also forgets the dropped shard's transaction handles.

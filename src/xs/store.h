@@ -10,9 +10,9 @@
 // Hot-path design (§5.1 argues primitive costs must stay small for
 // disaggregation to be viable):
 //  - Nodes are held by shared_ptr and treated as copy-on-write: starting a
-//    transaction (or taking a Snapshot) is an O(1) pointer copy, and a
-//    mutation shallow-clones only the nodes on its path when they are
-//    shared with a snapshot.
+//    transaction (or sharing the tree into a Snapshot) is an O(1) pointer
+//    copy, and a mutation shallow-clones only the nodes on its path when
+//    they are shared with a snapshot.
 //  - Per-owner node counts are maintained incrementally on create/remove/
 //    chown/restore, so quota checks and NodesOwnedBy are O(log #owners)
 //    instead of a full-tree flatten.
@@ -136,9 +136,10 @@ class XsStore {
   std::vector<FlatNode> Serialize() const;
   void Restore(const std::vector<FlatNode>& nodes);
 
-  // O(1) checkpoint of the whole store: shares the tree copy-on-write.
-  // XenStore-Logic's microreboot rollback (§5.6) uses this instead of a
-  // full Serialize/Restore round trip.
+  // Checkpoint of the whole store: the tree is shared copy-on-write (O(1)),
+  // the per-owner counters are copied (O(owners)). This is the recovery box
+  // a XenStore-State microreboot restores from (XsShardedStore's
+  // TakeShardSnapshot), paid once per State restart.
   class Snapshot {
    public:
     Snapshot() = default;

@@ -164,12 +164,12 @@ TEST(IntegrationTest, HostSurvivesControlComponentCrashInXoarOnly) {
 }
 
 TEST(IntegrationTest, XenStorePerRequestRestartsUnderRealTraffic) {
-  XoarPlatform platform;  // per-request policy on by default
+  XoarPlatform platform;  // split XenStore: Logic restarts per request
   ASSERT_TRUE(platform.Boot().ok());
   const std::uint64_t restarts_before = platform.xenstore().logic_restarts();
   (void)*platform.CreateGuest(GuestSpec{});
   // Guest creation funnels dozens of requests through XenStore-Logic, each
-  // one triggering a rollback (Fig 5.1).
+  // one followed by a Logic restart (Fig 5.1).
   EXPECT_GT(platform.xenstore().logic_restarts(), restarts_before + 10);
 }
 

@@ -158,7 +158,9 @@ TEST_F(XsServiceTest, LogicRestartMakesServiceUnavailableThenRecovers) {
   ASSERT_TRUE(xs_->store().SetPerms(logic_, "/g", perms).ok());
   ASSERT_TRUE(xs_->Write(guest_, "/g/k", "before").ok());
 
-  ASSERT_TRUE(xs_->RestartLogic(FromMilliseconds(20)).ok());
+  ASSERT_TRUE(xs_->BeginLogicRestart().ok());
+  sim_.ScheduleAfter(FromMilliseconds(20),
+                     [this] { ASSERT_TRUE(xs_->CompleteLogicRestart().ok()); });
   EXPECT_FALSE(xs_->logic_available());
   EXPECT_EQ(xs_->Read(guest_, "/g/k").status().code(),
             StatusCode::kUnavailable);
@@ -166,6 +168,23 @@ TEST_F(XsServiceTest, LogicRestartMakesServiceUnavailableThenRecovers) {
   EXPECT_TRUE(xs_->logic_available());
   // State lives in XenStore-State: contents survived the Logic restart.
   EXPECT_EQ(*xs_->Read(guest_, "/g/k"), "before");
+}
+
+// XenStore-Logic holds no state (Fig 5.1), so bringing it back must not roll
+// XenStore-State back: a write State took while Logic was down survives.
+TEST_F(XsServiceTest, StateWrittenDuringLogicRestartSurvivesIt) {
+  SetUpSplit();
+  ASSERT_TRUE(xs_->Connect(guest_).ok());
+  xs_->store().Mkdir(logic_, "/g");
+  XsNodePerms perms;
+  perms.owner = guest_;
+  ASSERT_TRUE(xs_->store().SetPerms(logic_, "/g", perms).ok());
+  ASSERT_TRUE(xs_->Write(guest_, "/g/k", "before").ok());
+
+  ASSERT_TRUE(xs_->BeginLogicRestart().ok());
+  ASSERT_TRUE(xs_->store().Write(logic_, "/g/k", "during").ok());
+  ASSERT_TRUE(xs_->CompleteLogicRestart().ok());
+  EXPECT_EQ(*xs_->Read(guest_, "/g/k"), "during");
 }
 
 TEST_F(XsServiceTest, WatchesSurviveLogicRestart) {
@@ -181,7 +200,9 @@ TEST_F(XsServiceTest, WatchesSurviveLogicRestart) {
           .ok());
   sim_.RunFor(kMillisecond);
   const int after_registration = fires;
-  ASSERT_TRUE(xs_->RestartLogic(FromMilliseconds(20)).ok());
+  ASSERT_TRUE(xs_->BeginLogicRestart().ok());
+  sim_.ScheduleAfter(FromMilliseconds(20),
+                     [this] { ASSERT_TRUE(xs_->CompleteLogicRestart().ok()); });
   sim_.RunFor(FromMilliseconds(30));
   ASSERT_TRUE(xs_->Write(guest_, "/g/k", "v").ok());
   sim_.RunFor(kMillisecond);
@@ -190,22 +211,55 @@ TEST_F(XsServiceTest, WatchesSurviveLogicRestart) {
 
 TEST_F(XsServiceTest, MonolithicXenstoredCannotRestartIndependently) {
   SetUpMonolithic();
-  EXPECT_EQ(xs_->RestartLogic(FromMilliseconds(20)).code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(xs_->BeginLogicRestart().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(xs_->logic_available());
 }
 
-TEST_F(XsServiceTest, PerRequestRestartPolicyCountsRollbacks) {
+// Fig 5.1: split XenStore-Logic is restarted after every request it serves;
+// stock xenstored never is. A request rejected before Logic serves it does
+// not count.
+TEST_F(XsServiceTest, LogicRestartsCountServedRequestsInSplitModeOnly) {
   SetUpSplit();
   ASSERT_TRUE(xs_->Connect(guest_).ok());
-  xs_->set_restart_policy(XenStoreService::RestartPolicy::kPerRequest);
   xs_->store().Mkdir(logic_, "/g");
   XsNodePerms perms;
   perms.owner = guest_;
   ASSERT_TRUE(xs_->store().SetPerms(logic_, "/g", perms).ok());
-  const std::uint64_t before = xs_->logic_restarts();
+  std::uint64_t before = xs_->logic_restarts();
   ASSERT_TRUE(xs_->Write(guest_, "/g/a", "1").ok());
-  (void)xs_->Read(guest_, "/g/a");
+  ASSERT_TRUE(xs_->Read(guest_, "/g/a").ok());
   EXPECT_EQ(xs_->logic_restarts(), before + 2);
+
+  // Rejected while Logic is down (the outage itself is one restart).
+  ASSERT_TRUE(xs_->BeginLogicRestart().ok());
+  before = xs_->logic_restarts();
+  EXPECT_EQ(xs_->Read(guest_, "/g/a").status().code(),
+            StatusCode::kUnavailable);
+  ASSERT_TRUE(xs_->CompleteLogicRestart().ok());
+  EXPECT_EQ(xs_->logic_restarts(), before);
+
+  // Rejected while the State shard the path routes to is down.
+  ASSERT_TRUE(xs_->BeginStateShardRestart(0).ok());
+  EXPECT_EQ(xs_->Read(guest_, "/g/a").status().code(),
+            StatusCode::kUnavailable);
+  ASSERT_TRUE(xs_->CompleteStateShardRestart(0).ok());
+  EXPECT_EQ(xs_->logic_restarts(), before);
+
+  // Rejected because the caller never connected.
+  const DomainId stranger = NewDomain("stranger", false);
+  EXPECT_EQ(xs_->Read(stranger, "/g/a").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(xs_->logic_restarts(), before);
+
+  SetUpMonolithic();
+  ASSERT_TRUE(xs_->Connect(guest_).ok());
+  xs_->store().Mkdir(logic_, "/g");
+  perms.owner = guest_;
+  ASSERT_TRUE(xs_->store().SetPerms(logic_, "/g", perms).ok());
+  ASSERT_TRUE(xs_->Write(guest_, "/g/a", "1").ok());
+  ASSERT_TRUE(xs_->Read(guest_, "/g/a").ok());
+  EXPECT_EQ(xs_->requests_processed(), 2u);
+  EXPECT_EQ(xs_->logic_restarts(), 0u);
 }
 
 TEST_F(XsServiceTest, WatchDeliveryIsAsynchronous) {
@@ -283,7 +337,10 @@ TEST_F(XsServiceTest, StateShardRestartDropsOnlyItsTenantsVolatileState) {
   ASSERT_TRUE(tx_b.ok());
 
   const int shard_b = xs_->store().ShardIndexForDomain(guest_b_);
-  ASSERT_TRUE(xs_->RestartStateShard(shard_b, FromMilliseconds(20)).ok());
+  ASSERT_TRUE(xs_->BeginStateShardRestart(shard_b).ok());
+  sim_.ScheduleAfter(FromMilliseconds(20), [this, shard_b] {
+    ASSERT_TRUE(xs_->CompleteStateShardRestart(shard_b).ok());
+  });
   sim_.RunFor(FromMilliseconds(30));
 
   // Tenant A's watch and transaction live on the untouched shard.
