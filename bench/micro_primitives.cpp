@@ -16,8 +16,10 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <string_view>
 
 #include "src/base/log.h"
+#include "src/base/strings.h"
 #include "src/hv/hypervisor.h"
 #include "src/hv/io_ring.h"
 #include "src/obs/obs.h"
@@ -28,7 +30,7 @@ namespace {
 
 // Per-op latency histogram in the process-global registry, 100ns..~100ms
 // buckets. Stable pointer: resolve once per benchmark, observe per op.
-Histogram* LatencyHist(const char* primitive) {
+Histogram* LatencyHist(std::string_view primitive) {
   return Obs::Global().metrics().GetHistogram(
       MetricName("bench", "micro", primitive),
       Histogram::DefaultLatencyBoundsNs());
@@ -73,6 +75,24 @@ struct HvFixture {
     (void)hv->AuthorizeShardUse(boot, guest, shard);
   }
 
+  // Adds `count` running guests that may use the shard, each with one
+  // connected event channel to it, so a benchmark sees a populated host:
+  // that many more domains in the domain table and that many more ports
+  // on the shard.
+  void Populate(int count) {
+    for (int i = 0; i < count; ++i) {
+      DomainConfig config;
+      config.name = "filler";
+      config.memory_mb = 1;
+      DomainId filler = *hv->CreateDomain(boot, config);
+      (void)hv->FinishBuild(boot, filler);
+      (void)hv->UnpauseDomain(boot, filler);
+      (void)hv->AuthorizeShardUse(boot, filler, shard);
+      EvtchnPort port = *hv->EvtchnAllocUnbound(filler, shard);
+      (void)hv->EvtchnBindInterdomain(shard, filler, port);
+    }
+  }
+
   DomainId NewDomain(const char* name, bool is_shard) {
     DomainConfig config;
     config.name = name;
@@ -89,16 +109,21 @@ struct HvFixture {
   DomainId boot, shard, guest;
 };
 
+// The hv benchmarks below take the number of extra populated guests as
+// their argument (16 and 1024): with dense domid and port tables the
+// per-op cost should not move between the two.
 void BM_HypercallPolicyCheck(benchmark::State& state) {
   HvFixture fixture;
-  Histogram* hist = LatencyHist("hypercall_check_ns");
+  fixture.Populate(static_cast<int>(state.range(0)));
+  Histogram* hist = LatencyHist(StrFormat(
+      "hypercall_check_%lddom_ns", static_cast<long>(state.range(0))));
   for (auto _ : state) {
     OpTimer timer(hist);
     benchmark::DoNotOptimize(
         fixture.hv->CheckHypercall(fixture.guest, Hypercall::kGrantTableOp));
   }
 }
-BENCHMARK(BM_HypercallPolicyCheck);
+BENCHMARK(BM_HypercallPolicyCheck)->Arg(16)->Arg(1024);
 
 void BM_IvcPolicyCheck(benchmark::State& state) {
   HvFixture fixture;
@@ -129,6 +154,7 @@ BENCHMARK(BM_GrantCreateMapUnmapEnd);
 
 void BM_EventChannelSendDeliver(benchmark::State& state) {
   HvFixture fixture;
+  fixture.Populate(static_cast<int>(state.range(0)));
   EvtchnPort unbound =
       *fixture.hv->EvtchnAllocUnbound(fixture.guest, fixture.shard);
   EvtchnPort bound =
@@ -137,7 +163,8 @@ void BM_EventChannelSendDeliver(benchmark::State& state) {
   int delivered = 0;
   (void)fixture.hv->EvtchnSetHandler(fixture.guest, unbound,
                                      [&] { ++delivered; });
-  Histogram* hist = LatencyHist("evtchn_send_deliver_ns");
+  Histogram* hist = LatencyHist(StrFormat(
+      "evtchn_send_deliver_%lddom_ns", static_cast<long>(state.range(0))));
   for (auto _ : state) {
     OpTimer timer(hist);
     (void)fixture.hv->EvtchnSend(fixture.shard, bound);
@@ -145,7 +172,7 @@ void BM_EventChannelSendDeliver(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(delivered);
 }
-BENCHMARK(BM_EventChannelSendDeliver);
+BENCHMARK(BM_EventChannelSendDeliver)->Arg(16)->Arg(1024);
 
 struct RingReq {
   std::uint64_t id;

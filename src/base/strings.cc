@@ -33,6 +33,19 @@ std::string JoinPath(const std::vector<std::string>& segments, char sep) {
   return out;
 }
 
+std::string NormalizePath(std::string_view path) {
+  std::string out;
+  out.reserve(path.size() + 1);
+  for (std::string_view segment : PathSegments(path)) {
+    out += '/';
+    out += segment;
+  }
+  if (out.empty()) {
+    out.push_back('/');
+  }
+  return out;
+}
+
 bool PathHasPrefix(std::string_view path, std::string_view prefix) {
   // Normalize away trailing separators on the prefix ("/a/" == "/a").
   while (!prefix.empty() && prefix.back() == '/') {

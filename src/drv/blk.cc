@@ -41,14 +41,8 @@ std::optional<std::uint64_t> BlkBack::AllocateExtent(
     std::uint64_t bytes) const {
   // First-fit over the gaps between live extents. The first 64 MiB are
   // reserved for metadata.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;
-  extents.reserve(images_.size());
-  for (const auto& [name, extent] : images_) {
-    extents.push_back(extent);
-  }
-  std::sort(extents.begin(), extents.end());
   std::uint64_t cursor = 64 * kMiB;
-  for (const auto& [offset, size] : extents) {
+  for (const auto& [offset, size] : extents_) {
     if (offset - cursor >= bytes) {
       return cursor;
     }
@@ -69,6 +63,7 @@ Status BlkBack::CreateImage(const std::string& name, std::uint64_t bytes) {
     return ResourceExhaustedError("disk full");
   }
   images_.emplace(name, std::make_pair(*offset, bytes));
+  extents_.emplace(*offset, bytes);
   return Status::Ok();
 }
 
@@ -77,13 +72,14 @@ Status BlkBack::DeleteImage(const std::string& name) {
   if (it == images_.end()) {
     return NotFoundError(StrFormat("no image %s", name.c_str()));
   }
-  for (const auto& [guest, vbd] : vbds_) {
-    if (vbd.image == name) {
-      return FailedPreconditionError(
-          StrFormat("image %s still bound to dom%u", name.c_str(),
-                    guest.value()));
-    }
+  // The lowest-numbered guest bound to `name`, if any.
+  auto bound = bound_images_.lower_bound({name, DomainId(0)});
+  if (bound != bound_images_.end() && bound->first == name) {
+    return FailedPreconditionError(
+        StrFormat("image %s still bound to dom%u", name.c_str(),
+                  bound->second.value()));
   }
+  extents_.erase(extents_.find(it->second));
   images_.erase(it);
   return Status::Ok();
 }
@@ -111,6 +107,7 @@ Status BlkBack::BindImage(DomainId guest, const std::string& image) {
   vbd.base_offset = img->second.first;
   vbd.size_bytes = img->second.second;
   vbds_.emplace(guest, vbd);
+  bound_images_.emplace(image, guest);
 
   // Advertise the backend half and let the guest read our state.
   const std::string back_dir = BackendDir(self_, guest, kVbdType);
@@ -244,6 +241,7 @@ Status BlkBack::DetachVbd(DomainId guest) {
   DisconnectVbd(it->second);
   (void)xs_->Unwatch(self_, FrontendDir(guest, kVbdType) + "/state",
                      StrFormat("blkback-%u", guest.value()));
+  bound_images_.erase({it->second.image, guest});
   vbds_.erase(it);
   return Status::Ok();
 }

@@ -29,7 +29,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/backoff.h"
@@ -176,12 +178,19 @@ class BlkBack {
   ExponentialBackoff resume_backoff_;
   bool resume_retry_pending_ = false;
   std::map<DomainId, Vbd> vbds_;
+  // (image, guest) of every VBD in vbds_, so DeleteImage's still-bound
+  // check is a lookup, not a walk of the VBDs.
+  std::set<std::pair<std::string, DomainId>> bound_images_;
   // Finds a first-fit offset for `bytes`, scanning the gaps left by
   // deleted images; nullopt when no gap fits.
   std::optional<std::uint64_t> AllocateExtent(std::uint64_t bytes) const;
 
   std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
       images_;  // name -> (offset, size)
+  // The (offset, size) of every image, in offset order: the first-fit walk
+  // reads it in place. A multiset, because zero-byte images may share an
+  // offset.
+  std::multiset<std::pair<std::uint64_t, std::uint64_t>> extents_;
   std::uint64_t requests_served_ = 0;
   std::uint64_t bytes_moved_ = 0;
   Obs* obs_;

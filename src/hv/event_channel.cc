@@ -1,5 +1,7 @@
 #include "src/hv/event_channel.h"
 
+#include <utility>
+
 #include "src/base/log.h"
 #include "src/base/strings.h"
 
@@ -21,21 +23,34 @@ std::string_view VirqName(Virq virq) {
   return "unknown";
 }
 
-EventChannelManager::Channel* EventChannelManager::Find(DomainId domain,
-                                                        EvtchnPort port) {
-  auto it = channels_.find(Key(domain.value(), port.value()));
-  return it == channels_.end() ? nullptr : &it->second;
+const EventChannelManager::Ports* EventChannelManager::FindPorts(
+    DomainId domain) const {
+  // Invalid() is the largest domid, so the bounds check rejects it too.
+  return domain.value() < ports_.size() ? &ports_[domain.value()] : nullptr;
 }
 
 const EventChannelManager::Channel* EventChannelManager::Find(
     DomainId domain, EvtchnPort port) const {
-  auto it = channels_.find(Key(domain.value(), port.value()));
-  return it == channels_.end() ? nullptr : &it->second;
+  const Ports* ports = FindPorts(domain);
+  if (ports == nullptr || port.value() >= ports->by_port.size()) {
+    return nullptr;
+  }
+  const Channel& channel = ports->by_port[port.value()];
+  return channel.state == ChannelState::kFree ? nullptr : &channel;
 }
 
-EvtchnPort EventChannelManager::NextPort(DomainId domain) {
-  std::uint32_t& next = next_port_[domain.value()];
-  return EvtchnPort(next++);
+EventChannelManager::Channel* EventChannelManager::Find(DomainId domain,
+                                                        EvtchnPort port) {
+  return const_cast<Channel*>(std::as_const(*this).Find(domain, port));
+}
+
+EvtchnPort EventChannelManager::Allocate(DomainId domain, Channel channel) {
+  if (domain.value() >= ports_.size()) {
+    ports_.resize(domain.value() + 1);
+  }
+  std::vector<Channel>& by_port = ports_[domain.value()].by_port;
+  by_port.push_back(std::move(channel));
+  return EvtchnPort(static_cast<std::uint32_t>(by_port.size() - 1));
 }
 
 StatusOr<EvtchnPort> EventChannelManager::AllocUnbound(DomainId owner,
@@ -43,16 +58,17 @@ StatusOr<EvtchnPort> EventChannelManager::AllocUnbound(DomainId owner,
   if (!owner.valid() || !remote.valid()) {
     return InvalidArgumentError("invalid domain for alloc_unbound");
   }
-  EvtchnPort port = NextPort(owner);
   Channel channel;
   channel.state = ChannelState::kUnbound;
   channel.remote = remote;
-  channels_[Key(owner.value(), port.value())] = std::move(channel);
-  return port;
+  return Allocate(owner, std::move(channel));
 }
 
 StatusOr<EvtchnPort> EventChannelManager::BindInterdomain(
     DomainId caller, DomainId remote, EvtchnPort remote_port) {
+  if (!caller.valid()) {
+    return InvalidArgumentError("invalid domain for bind_interdomain");
+  }
   Channel* remote_channel = Find(remote, remote_port);
   if (remote_channel == nullptr) {
     return NotFoundError(StrFormat("no unbound port %u on dom%u",
@@ -67,14 +83,14 @@ StatusOr<EvtchnPort> EventChannelManager::BindInterdomain(
                   remote_port.value(), remote.value(),
                   remote_channel->remote.value(), caller.value()));
   }
-  EvtchnPort local_port = NextPort(caller);
   Channel local;
   local.state = ChannelState::kConnected;
   local.remote = remote;
   local.remote_port = remote_port;
-  channels_[Key(caller.value(), local_port.value())] = std::move(local);
+  const EvtchnPort local_port = Allocate(caller, std::move(local));
 
-  remote_channel = Find(remote, remote_port);  // map may have rehashed
+  // A loopback bind may have reallocated the remote's port array.
+  remote_channel = Find(remote, remote_port);
   remote_channel->state = ChannelState::kConnected;
   remote_channel->remote = caller;
   remote_channel->remote_port = local_port;
@@ -82,19 +98,22 @@ StatusOr<EvtchnPort> EventChannelManager::BindInterdomain(
 }
 
 StatusOr<EvtchnPort> EventChannelManager::BindVirq(DomainId domain, Virq virq) {
+  if (!domain.valid() || virq >= Virq::kCount) {
+    return InvalidArgumentError("invalid domain or virq for bind_virq");
+  }
   // One binding per VIRQ per domain.
-  const Key vkey(domain.value(), static_cast<std::uint32_t>(virq));
-  if (virq_ports_.count(vkey) > 0) {
+  const auto index = static_cast<std::size_t>(virq);
+  const Ports* ports = FindPorts(domain);
+  if (ports != nullptr && ports->virq_port[index].valid()) {
     return AlreadyExistsError(StrFormat("virq %d already bound on dom%u",
                                         static_cast<int>(virq),
                                         domain.value()));
   }
-  EvtchnPort port = NextPort(domain);
   Channel channel;
   channel.state = ChannelState::kVirq;
   channel.virq = virq;
-  channels_[Key(domain.value(), port.value())] = std::move(channel);
-  virq_ports_[vkey] = port.value();
+  const EvtchnPort port = Allocate(domain, std::move(channel));
+  ports_[domain.value()].virq_port[index] = port;
   return port;
 }
 
@@ -104,7 +123,8 @@ Status EventChannelManager::SetHandler(DomainId domain, EvtchnPort port,
   if (channel == nullptr) {
     return NotFoundError("no such event channel");
   }
-  channel->handler = std::move(handler);
+  channel->handler =
+      handler ? std::make_unique<Handler>(std::move(handler)) : nullptr;
   return Status::Ok();
 }
 
@@ -123,6 +143,9 @@ Status EventChannelManager::Send(DomainId caller, EvtchnPort port) {
   ++sends_;
   m_sends_->Increment();
   obs_->tracer().Op(TraceCategory::kEvtchn, "evtchn_send", caller.value());
+  // Read the peer before the hook runs: `channel` points into a port array.
+  const DomainId remote = channel->remote;
+  const EvtchnPort remote_port = channel->remote_port;
   SimDuration latency = kEventDeliveryLatency;
   if (send_fault_hook_) {
     const SendFaultDecision decision = send_fault_hook_(caller, port);
@@ -135,8 +158,6 @@ Status EventChannelManager::Send(DomainId caller, EvtchnPort port) {
       latency += decision.extra_delay;
     }
   }
-  const DomainId remote = channel->remote;
-  const EvtchnPort remote_port = channel->remote_port;
   sim_->ScheduleAfter(latency, [this, remote, remote_port] {
     const Channel* peer = Find(remote, remote_port);
     if (peer != nullptr && peer->handler &&
@@ -145,23 +166,27 @@ Status EventChannelManager::Send(DomainId caller, EvtchnPort port) {
       m_deliveries_->Increment();
       obs_->tracer().Op(TraceCategory::kEvtchn, "evtchn_deliver",
                         remote.value());
-      peer->handler();
+      (*peer->handler)();
     }
   });
   return Status::Ok();
 }
 
 Status EventChannelManager::RaiseVirq(DomainId domain, Virq virq) {
-  auto it = virq_ports_.find(Key(domain.value(), static_cast<std::uint32_t>(virq)));
-  if (it == virq_ports_.end()) {
+  const Ports* ports = FindPorts(domain);
+  const EvtchnPort port =
+      ports != nullptr && virq < Virq::kCount
+          ? ports->virq_port[static_cast<std::size_t>(virq)]
+          : EvtchnPort::Invalid();
+  if (!port.valid()) {
     return NotFoundError(StrFormat("dom%u has no binding for virq %s",
                                    domain.value(),
                                    std::string(VirqName(virq)).c_str()));
   }
-  Channel* channel = Find(domain, EvtchnPort(it->second));
+  const Channel* channel = Find(domain, port);
   if (channel != nullptr && channel->handler) {
     // Copy the handler: the channel may be closed before delivery fires.
-    Handler handler = channel->handler;
+    Handler handler = *channel->handler;
     sim_->ScheduleAfter(kEventDeliveryLatency,
                         [handler = std::move(handler)] { handler(); });
     ++deliveries_;
@@ -170,39 +195,38 @@ Status EventChannelManager::RaiseVirq(DomainId domain, Virq virq) {
   return Status::Ok();
 }
 
-Status EventChannelManager::Close(DomainId domain, EvtchnPort port) {
-  auto it = channels_.find(Key(domain.value(), port.value()));
-  if (it == channels_.end()) {
-    return NotFoundError("no such event channel");
-  }
-  if (it->second.state == ChannelState::kConnected) {
-    Channel* peer = Find(it->second.remote, it->second.remote_port);
+void EventChannelManager::Release(DomainId domain, Channel& channel) {
+  if (channel.state == ChannelState::kConnected) {
+    Channel* peer = Find(channel.remote, channel.remote_port);
     if (peer != nullptr) {
       peer->state = ChannelState::kBroken;
     }
-  } else if (it->second.state == ChannelState::kVirq) {
-    virq_ports_.erase(
-        Key(domain.value(), static_cast<std::uint32_t>(it->second.virq)));
+  } else if (channel.state == ChannelState::kVirq) {
+    ports_[domain.value()].virq_port[static_cast<std::size_t>(channel.virq)] =
+        EvtchnPort::Invalid();
   }
-  channels_.erase(it);
+  channel = Channel();
+}
+
+Status EventChannelManager::Close(DomainId domain, EvtchnPort port) {
+  Channel* channel = Find(domain, port);
+  if (channel == nullptr) {
+    return NotFoundError("no such event channel");
+  }
+  Release(domain, *channel);
   return Status::Ok();
 }
 
 int EventChannelManager::CloseAll(DomainId domain) {
+  if (FindPorts(domain) == nullptr) {
+    return 0;
+  }
   int closed = 0;
-  auto it = channels_.lower_bound(Key(domain.value(), 0));
-  while (it != channels_.end() && it->first.first == domain.value()) {
-    if (it->second.state == ChannelState::kConnected) {
-      Channel* peer = Find(it->second.remote, it->second.remote_port);
-      if (peer != nullptr) {
-        peer->state = ChannelState::kBroken;
-      }
-    } else if (it->second.state == ChannelState::kVirq) {
-      virq_ports_.erase(
-          Key(domain.value(), static_cast<std::uint32_t>(it->second.virq)));
+  for (Channel& channel : ports_[domain.value()].by_port) {
+    if (channel.state != ChannelState::kFree) {
+      Release(domain, channel);
+      ++closed;
     }
-    it = channels_.erase(it);
-    ++closed;
   }
   return closed;
 }

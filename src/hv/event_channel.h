@@ -8,10 +8,13 @@
 #ifndef XOAR_SRC_HV_EVENT_CHANNEL_H_
 #define XOAR_SRC_HV_EVENT_CHANNEL_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <string_view>
+#include <vector>
 
 #include "src/base/ids.h"
 #include "src/base/status.h"
@@ -101,35 +104,52 @@ class EventChannelManager {
 
   std::uint64_t sends() const { return sends_; }
   std::uint64_t deliveries() const { return deliveries_; }
+  // Number of domids the port table covers. Only a port allocation for a
+  // valid domid grows it; exposed so tests can check lookups never do.
+  std::size_t port_table_domains() const { return ports_.size(); }
 
  private:
-  enum class ChannelState { kUnbound, kConnected, kVirq, kBroken };
+  enum class ChannelState { kFree, kUnbound, kConnected, kVirq, kBroken };
 
   struct Channel {
-    ChannelState state = ChannelState::kUnbound;
+    ChannelState state = ChannelState::kFree;
     DomainId remote;          // peer domain (or allowed binder while unbound)
     EvtchnPort remote_port;   // peer port when connected
     Virq virq = Virq::kCount;
-    Handler handler;
+    // Heap-held so a running upcall keeps its address even when it binds
+    // ports on its own domain and the port array reallocates.
+    std::unique_ptr<Handler> handler;
   };
 
-  using Key = std::pair<std::uint32_t, std::uint32_t>;  // (domain, port)
+  // One domain's event channels, as in Xen's per-domain evtchn array: a
+  // port number indexes by_port. A closed port becomes a kFree slot and is
+  // never reused, so the next port is by_port.size().
+  struct Ports {
+    std::vector<Channel> by_port;
+    // Port bound to each VIRQ; Invalid() while unbound.
+    std::array<EvtchnPort, static_cast<std::size_t>(Virq::kCount)> virq_port;
+  };
 
+  // nullptr for an invalid domid or one with no port table yet; lookups
+  // never grow the table.
+  const Ports* FindPorts(DomainId domain) const;
+  // nullptr unless `port` is a live (non-free) channel of `domain`.
   Channel* Find(DomainId domain, EvtchnPort port);
   const Channel* Find(DomainId domain, EvtchnPort port) const;
-  EvtchnPort NextPort(DomainId domain);
+  // Appends a fresh channel on `domain` (which must be valid), growing the
+  // table to cover it, and returns its port.
+  EvtchnPort Allocate(DomainId domain, Channel channel);
+  // Breaks the peer of a connected channel, unbinds a VIRQ, and frees the
+  // slot of `channel`, a live channel of `domain`.
+  void Release(DomainId domain, Channel& channel);
 
   Simulator* sim_;
   Obs* obs_;
   Counter* m_sends_;       // hv.evtchn.sends
   Counter* m_deliveries_;  // hv.evtchn.deliveries
   SendFaultHook send_fault_hook_;
-  // Keyed (domain, port): one domain's channels are contiguous, so per-domain
-  // teardown is a range erase, not a walk of every channel on the host.
-  std::map<Key, Channel> channels_;
-  // (domain, virq) -> bound port, so VIRQ raise/duplicate checks are lookups.
-  std::map<Key, std::uint32_t> virq_ports_;
-  std::map<std::uint32_t, std::uint32_t> next_port_;
+  // Indexed by domid. Domids are sequential, so the table is dense.
+  std::vector<Ports> ports_;
   std::uint64_t sends_ = 0;
   std::uint64_t deliveries_ = 0;
 };

@@ -221,6 +221,8 @@ class Hypervisor {
   Status CheckCallerAlive(DomainId caller) const;
   void Audit(const std::string& event);
   DomainId NextDomainId();
+  // Stores a newly created domain in its domid's slot.
+  void InstallDomain(std::unique_ptr<Domain> dom);
 
   Simulator* sim_;
   Options options_;
@@ -237,7 +239,10 @@ class Hypervisor {
   Gauge* m_domains_live_;       // hv.domain.live
   MemoryManager memory_;
   EventChannelManager evtchn_;
-  std::map<std::uint32_t, std::unique_ptr<Domain>> domains_;
+  // Indexed by domid, as in Xen. Domids are handed out sequentially and
+  // never reused, and a destroyed domain stays in its slot (kDead); a
+  // nullptr slot is a domid whose CreateDomain failed.
+  std::vector<std::unique_ptr<Domain>> domains_;
   std::size_t live_count_ = 0;
   // PCI assignment index: slot -> owning domain, so assign_pci_device's
   // already-assigned check (§3.1) is a lookup, not a domain-table scan.

@@ -34,9 +34,8 @@ std::string_view TraceCategoryName(TraceCategory cat) {
   return "unknown";
 }
 
-Tracer::Tracer(const Simulator* sim, std::size_t capacity) : sim_(sim) {
-  ring_.resize(std::max<std::size_t>(capacity, 1));
-}
+Tracer::Tracer(const Simulator* sim, std::size_t capacity)
+    : sim_(sim), capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 void Tracer::SetTrackName(std::uint32_t track, std::string name) {
   track_names_[track] = std::move(name);
@@ -119,8 +118,14 @@ void Tracer::Push(TraceEvent event) {
   if (sink_ != nullptr) {
     sink_->OnTraceEvent(event);
   }
-  if (size_ < ring_.size()) {
-    ring_[(head_ + size_) % ring_.size()] = std::move(event);
+  if (size_ < capacity_) {
+    // Until the ring first fills, head_ is 0 and events append in order.
+    // The storage is reserved by the first event, so a tracer that never
+    // records (the default, disabled) never allocates or touches it.
+    if (ring_.empty()) {
+      ring_.reserve(capacity_);
+    }
+    ring_.push_back(std::move(event));
     ++size_;
   } else {
     ring_[head_] = std::move(event);  // overwrite the oldest
@@ -139,6 +144,7 @@ std::vector<TraceEvent> Tracer::Events() const {
 }
 
 void Tracer::Clear() {
+  ring_.clear();
   head_ = 0;
   size_ = 0;
   dropped_ = 0;

@@ -14,9 +14,10 @@
 // produce byte-identical exports.
 //
 // Cost model / thread-safety: single-threaded, like the simulator it
-// observes. Recording is O(1) into a preallocated ring; when the ring is
-// full the *oldest* event is overwritten (`dropped()` counts losses), so a
-// long-running platform keeps the most recent window. Tracing is disabled
+// observes. Recording is O(1) into a bounded ring, reserved in full by the
+// first recorded event (a tracer that never records never allocates it);
+// when the ring is full the *oldest* event is overwritten (`dropped()`
+// counts losses), so a long-running platform keeps the most recent window. Tracing is disabled
 // by default — every record call is then a single branch — and is switched
 // on per-platform via `Tracer::set_enabled(true)`.
 #ifndef XOAR_SRC_OBS_TRACE_H_
@@ -132,7 +133,7 @@ class Tracer {
   // --- Inspection / export ---
 
   std::size_t size() const { return size_; }
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::uint64_t dropped() const { return dropped_; }
   std::size_t open_spans() const { return open_spans_.size(); }
 
@@ -162,7 +163,9 @@ class Tracer {
   const Simulator* sim_;
   bool enabled_ = false;
   TraceSink* sink_ = nullptr;
-  std::vector<TraceEvent> ring_;  // fixed capacity, allocated up front
+  std::size_t capacity_;
+  // Grows to capacity_ with the first events, then wraps in place.
+  std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;          // index of the oldest event
   std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;

@@ -1,6 +1,7 @@
 #include "src/xs/sharded_store.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <memory>
 #include <utility>
@@ -11,7 +12,8 @@ namespace xoar {
 
 namespace {
 
-// Parses a path into its routing decision without allocating per shard.
+// A path's routing decision. RoutePath walks the path's segments as views
+// and stops after the third, so routing a request allocates nothing.
 struct RouteInfo {
   bool spanning = false;   // "/", "/local", "/local/domain"
   bool tenant = false;     // /local/domain/<id>[/...]
@@ -19,29 +21,36 @@ struct RouteInfo {
 };
 
 RouteInfo RoutePath(std::string_view path) {
+  // Only "local", "domain" and "<id>" decide the route.
+  std::array<std::string_view, 3> head;
+  std::size_t depth = 0;
+  for (std::string_view segment : PathSegments(path)) {
+    head[depth++] = segment;
+    if (depth == head.size()) {
+      break;
+    }
+  }
   RouteInfo info;
-  const std::vector<std::string> segments = SplitPath(path);
-  if (segments.empty()) {
+  if (depth == 0) {
     info.spanning = true;
     return info;
   }
-  if (segments[0] != "local") {
+  if (head[0] != "local") {
     return info;
   }
-  if (segments.size() == 1) {
+  if (depth == 1) {
     info.spanning = true;
     return info;
   }
-  if (segments[1] != "domain") {
+  if (head[1] != "domain") {
     return info;
   }
-  if (segments.size() == 2) {
+  if (depth == 2) {
     info.spanning = true;
     return info;
   }
-  const std::string& id = segments[2];
   std::uint32_t value = 0;
-  for (char c : id) {
+  for (char c : head[2]) {
     if (!std::isdigit(static_cast<unsigned char>(c))) {
       return info;  // non-numeric child of /local/domain: shard 0
     }

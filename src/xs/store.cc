@@ -8,10 +8,6 @@
 namespace xoar {
 
 namespace {
-std::string Normalize(std::string_view path) {
-  return JoinPath(SplitPath(path));
-}
-
 // True if a mutation at `mutated` is visible to an access at `accessed`:
 // either path is an ancestor of (or equal to) the other.
 bool PathsOverlap(std::string_view mutated, std::string_view accessed) {
@@ -48,7 +44,7 @@ XsStore::Node* XsStore::Detach(NodePtr& slot) {
 
 const XsStore::Node* XsStore::Find(const Node* root, std::string_view path) {
   const Node* node = root;
-  for (const auto& segment : SplitPath(path)) {
+  for (std::string_view segment : PathSegments(path)) {
     auto it = node->children.find(segment);
     if (it == node->children.end()) {
       return nullptr;
@@ -60,7 +56,7 @@ const XsStore::Node* XsStore::Find(const Node* root, std::string_view path) {
 
 XsStore::Node* XsStore::ResolveMutable(NodePtr& root, std::string_view path) {
   Node* node = Detach(root);
-  for (const auto& segment : SplitPath(path)) {
+  for (std::string_view segment : PathSegments(path)) {
     auto it = node->children.find(segment);
     if (it == node->children.end()) {
       return nullptr;
@@ -90,7 +86,7 @@ StatusOr<XsStore::Node*> XsStore::ResolveOrCreate(NodePtr& root,
                                                   DomainId owner,
                                                   Transaction* tx) {
   Node* node = Detach(root);
-  for (const auto& segment : SplitPath(path)) {
+  for (std::string_view segment : PathSegments(path)) {
     auto it = node->children.find(segment);
     if (it == node->children.end()) {
       if (node_quota_ != 0 && owner.valid() && !IsManager(owner) &&
@@ -107,7 +103,8 @@ StatusOr<XsStore::Node*> XsStore::ResolveOrCreate(NodePtr& root,
         ++owner_counts_[owner];
         ++node_count_;
       }
-      it = node->children.emplace(segment, std::move(child)).first;
+      it = node->children.emplace(std::string(segment), std::move(child))
+               .first;
       node = it->second.get();
     } else {
       node = Detach(it->second);
@@ -151,7 +148,7 @@ Status XsStore::CheckAccess(DomainId caller, const Node& node,
 Status XsStore::CheckCreateAccess(DomainId caller, const Node* root,
                                   std::string_view path) const {
   const Node* ancestor = root;
-  for (const auto& segment : SplitPath(path)) {
+  for (std::string_view segment : PathSegments(path)) {
     auto it = ancestor->children.find(segment);
     if (it == ancestor->children.end()) {
       break;
@@ -204,13 +201,13 @@ Status XsStore::ApplyMkdir(NodePtr& root, DomainId caller,
 
 Status XsStore::ApplyRemove(NodePtr& root, DomainId caller,
                             const std::string& norm, Transaction* tx) {
-  std::vector<std::string> segments = SplitPath(norm);
-  if (segments.empty()) {
+  // `norm` is normalized: "/" or "/a/.../leaf".
+  if (norm == "/") {
     return InvalidArgumentError("cannot remove the root");
   }
-  const std::string leaf = segments.back();
-  segments.pop_back();
-  const std::string parent_path = JoinPath(segments);
+  const std::size_t slash = norm.rfind('/');
+  const std::string_view leaf = std::string_view(norm).substr(slash + 1);
+  const std::string_view parent_path = std::string_view(norm).substr(0, slash);
   const Node* parent_view = Find(root.get(), parent_path);
   if (parent_view == nullptr) {
     return NotFoundError(StrFormat("no node %s", norm.c_str()));
@@ -251,7 +248,7 @@ StatusOr<std::string> XsStore::Read(DomainId caller, std::string_view path,
   ++op_count_;
   m_reads_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_read", caller.value());
-  const std::string norm = Normalize(path);
+  const std::string norm = NormalizePath(path);
   const Node* root = root_.get();
   if (tx_id != kNoTransaction) {
     Transaction* tx = FindTransaction(tx_id);
@@ -274,7 +271,7 @@ Status XsStore::Write(DomainId caller, std::string_view path,
   ++op_count_;
   m_writes_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_write", caller.value());
-  const std::string norm = Normalize(path);
+  const std::string norm = NormalizePath(path);
   if (tx_id == kNoTransaction) {
     XOAR_RETURN_IF_ERROR(ApplyWrite(root_, caller, norm, value, nullptr));
     CommitMutation(norm);
@@ -294,7 +291,7 @@ Status XsStore::Mkdir(DomainId caller, std::string_view path, TxId tx_id) {
   ++op_count_;
   m_writes_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_mkdir", caller.value());
-  const std::string norm = Normalize(path);
+  const std::string norm = NormalizePath(path);
   if (tx_id == kNoTransaction) {
     XOAR_RETURN_IF_ERROR(ApplyMkdir(root_, caller, norm, nullptr));
     CommitMutation(norm);
@@ -314,7 +311,7 @@ Status XsStore::Remove(DomainId caller, std::string_view path, TxId tx_id) {
   ++op_count_;
   m_writes_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_remove", caller.value());
-  const std::string norm = Normalize(path);
+  const std::string norm = NormalizePath(path);
   if (tx_id == kNoTransaction) {
     XOAR_RETURN_IF_ERROR(ApplyRemove(root_, caller, norm, nullptr));
     CommitMutation(norm);
@@ -336,7 +333,7 @@ StatusOr<std::vector<std::string>> XsStore::List(DomainId caller,
   ++op_count_;
   m_lists_->Increment();
   obs_->tracer().Op(TraceCategory::kXenStore, "xs_list", caller.value());
-  const std::string norm = Normalize(path);
+  const std::string norm = NormalizePath(path);
   const Node* root = root_.get();
   if (tx_id != kNoTransaction) {
     Transaction* tx = FindTransaction(tx_id);
@@ -363,7 +360,7 @@ StatusOr<std::vector<std::string>> XsStore::List(DomainId caller,
 
 bool XsStore::Exists(DomainId caller, std::string_view path, TxId tx_id) {
   (void)caller;  // Existence probes are not ACL-gated, as in xenstored.
-  const std::string norm = Normalize(path);
+  const std::string norm = NormalizePath(path);
   const Node* root = root_.get();
   if (tx_id != kNoTransaction) {
     Transaction* tx = FindTransaction(tx_id);
@@ -380,7 +377,8 @@ StatusOr<XsNodePerms> XsStore::GetPerms(DomainId caller,
                                         std::string_view path) {
   const Node* node = Find(root_.get(), path);
   if (node == nullptr) {
-    return NotFoundError(StrFormat("no node %s", Normalize(path).c_str()));
+    return NotFoundError(
+        StrFormat("no node %s", NormalizePath(path).c_str()));
   }
   XOAR_RETURN_IF_ERROR(CheckAccess(caller, *node, XsPerm::kRead));
   return node->perms;
@@ -388,7 +386,7 @@ StatusOr<XsNodePerms> XsStore::GetPerms(DomainId caller,
 
 Status XsStore::SetPerms(DomainId caller, std::string_view path,
                          const XsNodePerms& perms) {
-  const std::string norm = Normalize(path);
+  const std::string norm = NormalizePath(path);
   const Node* view = Find(root_.get(), norm);
   if (view == nullptr) {
     return NotFoundError(StrFormat("no node %s", norm.c_str()));
@@ -421,12 +419,13 @@ Status XsStore::SetPerms(DomainId caller, std::string_view path,
 
 Status XsStore::Watch(DomainId caller, std::string_view path,
                       std::string_view token, WatchCallback cb) {
-  const std::string norm = Normalize(path);
+  const std::string norm = NormalizePath(path);
   WatchNode* node = &watch_root_;
-  for (const auto& segment : SplitPath(norm)) {
+  for (std::string_view segment : PathSegments(norm)) {
     auto it = node->children.find(segment);
     if (it == node->children.end()) {
-      it = node->children.emplace(segment, std::make_unique<WatchNode>())
+      it = node->children
+               .emplace(std::string(segment), std::make_unique<WatchNode>())
                .first;
     }
     node = it->second.get();
@@ -451,16 +450,18 @@ Status XsStore::Watch(DomainId caller, std::string_view path,
 
 Status XsStore::Unwatch(DomainId caller, std::string_view path,
                         std::string_view token) {
-  const std::string norm = Normalize(path);
-  // Remember the descent so empty trie nodes can be pruned afterwards.
-  std::vector<std::pair<WatchNode*, std::string>> trail;
+  const std::string norm = NormalizePath(path);
+  // Remember the descent (parent, edge to child) so empty trie nodes can be
+  // pruned afterwards.
+  using Edge = decltype(watch_root_.children)::iterator;
+  std::vector<std::pair<WatchNode*, Edge>> trail;
   WatchNode* node = &watch_root_;
-  for (const auto& segment : SplitPath(norm)) {
+  for (std::string_view segment : PathSegments(norm)) {
     auto it = node->children.find(segment);
     if (it == node->children.end()) {
       return NotFoundError("no such watch");
     }
-    trail.emplace_back(node, segment);
+    trail.emplace_back(node, it);
     node = it->second.get();
   }
   auto it = std::find_if(node->watches.begin(), node->watches.end(),
@@ -473,8 +474,8 @@ Status XsStore::Unwatch(DomainId caller, std::string_view path,
   node->watches.erase(it);
   --watch_count_;
   for (auto rit = trail.rbegin(); rit != trail.rend(); ++rit) {
-    WatchNode* child = rit->first->children.at(rit->second).get();
-    if (!child->watches.empty() || !child->children.empty()) {
+    const WatchNode& child = *rit->second->second;
+    if (!child.watches.empty() || !child.children.empty()) {
       break;
     }
     rit->first->children.erase(rit->second);
@@ -507,7 +508,7 @@ void XsStore::FireWatches(std::string_view path) {
                          XsWatchEvent{std::string(path), watch.token});
   }
   bool full_path = true;
-  for (const auto& segment : SplitPath(path)) {
+  for (std::string_view segment : PathSegments(path)) {
     auto it = node->children.find(segment);
     if (it == node->children.end()) {
       full_path = false;

@@ -178,10 +178,12 @@ class XsStore {
  private:
   using NodePtr = std::shared_ptr<Node>;
 
+  // Transparent comparators (std::less<>) let the path walks look children
+  // up by std::string_view segment, without building a key string.
   struct Node {
     std::string value;
     XsNodePerms perms;
-    std::map<std::string, NodePtr> children;
+    std::map<std::string, NodePtr, std::less<>> children;
   };
 
   struct WatchEntry {
@@ -196,7 +198,7 @@ class XsStore {
   // watch in the trie subtree below /a/b/c.
   struct WatchNode {
     std::vector<WatchEntry> watches;
-    std::map<std::string, std::unique_ptr<WatchNode>> children;
+    std::map<std::string, std::unique_ptr<WatchNode>, std::less<>> children;
   };
 
   // A transactional mutation, replayed against the live tree at commit.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/hv/hypervisor.h"
 #include "src/sim/simulator.h"
 
@@ -108,6 +110,41 @@ TEST_F(StockHvTest, ZeroMemoryDomainRejected) {
   config.memory_mb = 0;
   EXPECT_EQ(hv_->CreateDomain(dom0_, config).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(StockHvTest, FailedCreateLeavesAHoleLookupsSkip) {
+  const DomainId first = NewGuest("first");
+  DomainConfig too_big;
+  too_big.name = "too-big";
+  too_big.memory_mb = 4096;  // the host has 1 GiB
+  ASSERT_FALSE(hv_->CreateDomain(dom0_, too_big).ok());
+  const DomainId hole{first.value() + 1};
+  const DomainId next = NewGuest("next");
+  EXPECT_EQ(next.value(), first.value() + 2);  // domids are never reused
+  EXPECT_EQ(hv_->domain(hole), nullptr);
+  EXPECT_EQ(hv_->domain(DomainId::Invalid()), nullptr);
+  EXPECT_EQ(hv_->domain(DomainId(next.value() + 1)), nullptr);
+  EXPECT_EQ(hv_->AllDomains(), (std::vector<DomainId>{dom0_, first, next}));
+  EXPECT_EQ(hv_->UnpauseDomain(dom0_, hole).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(hv_->DestroyDomain(dom0_, first).ok());
+  EXPECT_NE(hv_->domain(first), nullptr);  // dead, but still in its slot
+  EXPECT_EQ(hv_->AllDomains(), (std::vector<DomainId>{dom0_, next}));
+}
+
+TEST_F(StockHvTest, EvtchnOpsFromUnknownDomainsNeverGrowThePortTable) {
+  const DomainId guest = NewGuest("guest");
+  ASSERT_TRUE(hv_->EvtchnAllocUnbound(guest, dom0_).ok());
+  const std::size_t size = hv_->evtchn().port_table_domains();
+  for (DomainId dom : {DomainId::Invalid(), DomainId(1000)}) {
+    EXPECT_FALSE(hv_->BindVirq(dom, Virq::kTimer).ok());
+    EXPECT_FALSE(hv_->EvtchnAllocUnbound(dom, guest).ok());
+    EXPECT_FALSE(hv_->EvtchnBindInterdomain(dom, guest, EvtchnPort(0)).ok());
+    EXPECT_FALSE(hv_->EvtchnSend(dom, EvtchnPort(0)).ok());
+    EXPECT_FALSE(hv_->EvtchnSetHandler(dom, EvtchnPort(0), [] {}).ok());
+    EXPECT_FALSE(hv_->EvtchnClose(dom, EvtchnPort(0)).ok());
+    EXPECT_FALSE(hv_->RaiseVirq(dom, Virq::kTimer).ok());
+  }
+  EXPECT_EQ(hv_->evtchn().port_table_domains(), size);
 }
 
 TEST_F(StockHvTest, DoubleDestroyFails) {

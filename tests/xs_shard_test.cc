@@ -3,11 +3,54 @@
 // per-shard snapshot/restore isolation, and resharding.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <iterator>
+#include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/base/strings.h"
 #include "src/xs/sharded_store.h"
+
+// Sanitizer builds bring their own allocator, so only the plain build
+// replaces operator new to count allocations.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define XOAR_COUNTS_ALLOCATIONS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define XOAR_COUNTS_ALLOCATIONS 0
+#endif
+#endif
+#ifndef XOAR_COUNTS_ALLOCATIONS
+#define XOAR_COUNTS_ALLOCATIONS 1
+#endif
+
+#if XOAR_COUNTS_ALLOCATIONS
+namespace {
+// Heap allocations made while g_count_allocations is set.
+bool g_count_allocations = false;
+std::size_t g_allocations = 0;
+}  // namespace
+
+// Kept out of line: inlined into a delete-expression, GCC pairs the
+// builtin operator new with this free() and warns of a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocations) {
+    ++g_allocations;
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+#endif
 
 namespace xoar {
 namespace {
@@ -217,6 +260,158 @@ TEST_F(XsSingleShardTest, SingleShardRoutesEverythingToShardZero) {
   ASSERT_TRUE(names.ok());
   EXPECT_EQ(*names, (std::vector<std::string>{"7"}));
 }
+
+// The router written over SplitPath: the reference the allocation-free
+// routing in sharded_store.cc must agree with.
+struct ReferenceRoute {
+  bool spanning = false;
+  bool tenant = false;
+  std::uint32_t tenant_id = 0;
+};
+
+ReferenceRoute RouteBySplitPath(std::string_view path) {
+  ReferenceRoute route;
+  const std::vector<std::string> segments = SplitPath(path);
+  if (segments.empty() ||
+      (segments[0] == "local" &&
+       (segments.size() == 1 ||
+        (segments[1] == "domain" && segments.size() == 2)))) {
+    route.spanning = true;
+    return route;
+  }
+  if (segments.size() < 3 || segments[0] != "local" ||
+      segments[1] != "domain") {
+    return route;
+  }
+  std::uint32_t value = 0;
+  for (char c : segments[2]) {
+    if (c < '0' || c > '9') {
+      return route;
+    }
+    value = value * 10 + static_cast<std::uint32_t>(c - '0');
+  }
+  route.tenant = true;
+  route.tenant_id = value;
+  return route;
+}
+
+// Paths built from routing-relevant segments, with runs of separators,
+// relative and trailing-slash forms, and a /local/domain prefix half the
+// time.
+std::string RandomPath(Rng& rng) {
+  static constexpr std::string_view kSegments[] = {
+      "local", "domain", "domainx", "locals", "7",  "007", "0",
+      "42",    "12345678901", "4294967297", "x7", "7x", "device",
+      "vif",   "state", ""};
+  static constexpr std::string_view kSeparators[] = {"/", "//", "///"};
+  std::vector<std::string_view> segments;
+  if (rng.NextBelow(2) == 0) {
+    segments = {"local", "domain"};
+  }
+  const std::uint64_t extra = rng.NextBelow(5);
+  for (std::uint64_t i = 0; i < extra; ++i) {
+    segments.push_back(kSegments[rng.NextBelow(std::size(kSegments))]);
+  }
+  std::string path;
+  if (rng.NextBelow(4) != 0) {
+    path += kSeparators[rng.NextBelow(std::size(kSeparators))];
+  }
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    if (i > 0) {
+      path += kSeparators[rng.NextBelow(std::size(kSeparators))];
+    }
+    path += segments[i];
+  }
+  if (rng.NextBelow(3) == 0) {
+    path += kSeparators[rng.NextBelow(std::size(kSeparators))];
+  }
+  return path;
+}
+
+void ExpectRoutesLikeReference(const std::vector<XsShardedStore>& stores,
+                               const std::string& path) {
+  SCOPED_TRACE("path \"" + path + "\"");
+  const ReferenceRoute reference = RouteBySplitPath(path);
+  EXPECT_EQ(XsShardedStore::IsSpanningPath(path), reference.spanning);
+  for (const XsShardedStore& store : stores) {
+    const int shards = store.shard_count();
+    const int expected =
+        reference.tenant
+            ? static_cast<int>(reference.tenant_id %
+                               static_cast<std::uint32_t>(shards))
+            : 0;
+    EXPECT_EQ(store.ShardIndexForPath(path), expected) << shards << " shards";
+  }
+  EXPECT_EQ(NormalizePath(path), JoinPath(SplitPath(path)));
+  std::vector<std::string> walked;
+  for (std::string_view segment : PathSegments(path)) {
+    walked.emplace_back(segment);
+  }
+  EXPECT_EQ(walked, SplitPath(path));
+}
+
+std::vector<XsShardedStore> RoutingStores() {
+  std::vector<XsShardedStore> stores;
+  for (int shards : {1, 4, 7, 16}) {
+    stores.emplace_back(shards);
+  }
+  return stores;
+}
+
+TEST(XsRoutingTest, EdgeCasesRouteLikeTheSplitPathReference) {
+  const std::vector<XsShardedStore> stores = RoutingStores();
+  for (const std::string path :
+       {"", "/", "//", "local", "/local", "/local/", "//local//domain/7/",
+        "local/domain/007", "/local/domain", "/local/domain/",
+        "/local/domainx/1", "/localx/domain/1", "/local/domain/x7",
+        "/local/domain/7x/name", "/local/domain/12345678901",
+        "/local/domain/4294967296/device", "/local/domain/0",
+        "/tool/xenstored", "/vm/local/domain/7"}) {
+    ExpectRoutesLikeReference(stores, path);
+  }
+}
+
+TEST(XsRoutingTest, SeededRandomPathsRouteLikeTheSplitPathReference) {
+  const std::vector<XsShardedStore> stores = RoutingStores();
+  Rng rng(20111023);
+  for (int i = 0; i < 10000; ++i) {
+    ExpectRoutesLikeReference(stores, RandomPath(rng));
+    if (::testing::Test::HasFailure()) {
+      break;  // one failing path is enough to diagnose
+    }
+  }
+}
+
+#if XOAR_COUNTS_ALLOCATIONS
+TEST(XsRoutingTest, RoutingAllocatesNothing) {
+  const XsShardedStore store(16);
+  // Longer than std::string's inline buffer, so any copy would allocate.
+  const std::vector<std::string> paths = {
+      "/local/domain/123456/device/vif/0/state",
+      "//local//domain//7//backend//vbd//51712",
+      "/tool/xenstored/connection/a-long-name", "/local/domain", "/"};
+  std::size_t routed = 0;
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (const std::string& path : paths) {
+    routed += static_cast<std::size_t>(store.ShardIndexForPath(path));
+    routed += XsShardedStore::IsSpanningPath(path) ? 1 : 0;
+    for (std::string_view segment : PathSegments(path)) {
+      routed += segment.size();
+    }
+  }
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_GT(routed, 0u);
+
+  // The counter does see allocations: the SplitPath reference makes some.
+  g_count_allocations = true;
+  const std::vector<std::string> split = SplitPath(paths[0]);
+  g_count_allocations = false;
+  EXPECT_EQ(split.size(), 7u);
+  EXPECT_GT(g_allocations, 0u);
+}
+#endif
 
 }  // namespace
 }  // namespace xoar
