@@ -18,6 +18,10 @@
 //     control-plane shards are a bounded constant plus O(1) per XenStore
 //     node, so bytes/domain must not grow more than 10% per decade
 //     (validate_obs --density re-checks this from the exported report).
+//   - BlkBack's image allocator does flat work per create: the free gaps
+//     its first-fit visits per create must not grow more than 10% from
+//     one sweep point to the next (a walk over the live images would grow
+//     with them; validate_obs --density re-checks this too).
 //
 // Wall-clock timing (std::chrono::steady_clock) is confined to this bench
 // binary; the simulation itself stays deterministic. --max-guests replaces
@@ -66,6 +70,7 @@ struct SweepPoint {
   double create_ops_per_sec = 0;
   double per_domain_control_bytes = 0;
   std::uint64_t create_path_scans = 0;
+  double first_fit_gaps_per_create = 0;
   std::size_t xenstore_nodes = 0;
   std::uint64_t control_mb = 0;
 };
@@ -115,7 +120,15 @@ SweepPoint RunPoint(int target, int shards, int max_guests,
     return point;
   }
 
+  auto gaps_visited = [&platform] {
+    std::uint64_t total = 0;
+    for (int i = 0; i < platform.blkback_count(); ++i) {
+      total += platform.blkback(i).first_fit_gaps_visited();
+    }
+    return total;
+  };
   const std::uint64_t scans_before = platform.hv().domain_table_scans();
+  const std::uint64_t gaps_before = gaps_visited();
   const auto wall_start = std::chrono::steady_clock::now();
   const int cap = max_guests > 0 ? std::min(max_guests, target) : target;
   for (int i = 0; i < cap; ++i) {
@@ -138,10 +151,13 @@ SweepPoint RunPoint(int target, int shards, int max_guests,
           .count();
   point.create_path_scans =
       platform.hv().domain_table_scans() - scans_before;
+  const std::uint64_t gaps = gaps_visited() - gaps_before;
 
   point.control_mb = platform.ControlPlaneMemoryMb();
   point.xenstore_nodes = platform.xenstore().store().NodeCount();
   if (point.created > 0) {
+    point.first_fit_gaps_per_create =
+        static_cast<double>(gaps) / point.created;
     point.create_ops_per_sec =
         wall_seconds > 0 ? point.created / wall_seconds : 0;
     point.per_domain_control_bytes =
@@ -197,12 +213,13 @@ bool WriteReport(const std::string& path, const std::vector<SweepPoint>& sweep,
     out += StrFormat(
         "    {\"domains\": %d, \"created\": %d, \"shard_count\": %d, "
         "\"create_ops_per_sec\": %.3f, \"per_domain_control_bytes\": %.1f, "
-        "\"create_path_scans\": %llu, \"xenstore_nodes\": %zu, "
-        "\"control_plane_mb\": %llu}%s\n",
+        "\"create_path_scans\": %llu, \"first_fit_gaps_per_create\": %.3f, "
+        "\"xenstore_nodes\": %zu, \"control_plane_mb\": %llu}%s\n",
         p.domains_target, p.created, p.shard_count, p.create_ops_per_sec,
         p.per_domain_control_bytes,
         static_cast<unsigned long long>(p.create_path_scans),
-        p.xenstore_nodes, static_cast<unsigned long long>(p.control_mb),
+        p.first_fit_gaps_per_create, p.xenstore_nodes,
+        static_cast<unsigned long long>(p.control_mb),
         i + 1 == sweep.size() ? "" : ",");
   }
   out += "  ]\n";
@@ -239,7 +256,7 @@ int Run(const Options& options, TraceSink* sink) {
   }
 
   Table table({"domains", "created", "shards", "creates/sec", "bytes/domain",
-               "XS nodes", "table scans"});
+               "XS nodes", "table scans", "gaps/create"});
   for (const SweepPoint& p : sweep) {
     table.AddRow({StrFormat("%d", p.domains_target),
                   StrFormat("%d", p.created),
@@ -249,7 +266,8 @@ int Run(const Options& options, TraceSink* sink) {
                   StrFormat("%zu", p.xenstore_nodes),
                   StrFormat("%llu",
                             static_cast<unsigned long long>(
-                                p.create_path_scans))});
+                                p.create_path_scans)),
+                  StrFormat("%.2f", p.first_fit_gaps_per_create)});
   }
   table.Print();
 
@@ -267,6 +285,16 @@ int Run(const Options& options, TraceSink* sink) {
                    "(%d -> %d domains)\n",
                    sweep[i - 1].per_domain_control_bytes,
                    sweep[i].per_domain_control_bytes,
+                   sweep[i - 1].created, sweep[i].created);
+      flat = false;
+    }
+    if (sweep[i].first_fit_gaps_per_create >
+        sweep[i - 1].first_fit_gaps_per_create * 1.10) {
+      std::fprintf(stderr,
+                   "FAIL: first-fit gaps visited per create grew %.2f -> "
+                   "%.2f (%d -> %d domains)\n",
+                   sweep[i - 1].first_fit_gaps_per_create,
+                   sweep[i].first_fit_gaps_per_create,
                    sweep[i - 1].created, sweep[i].created);
       flat = false;
     }

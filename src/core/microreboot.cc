@@ -206,6 +206,11 @@ bool RestartEngine::IsRestarting(const std::string& name) const {
   return it != components_.end() && it->second.in_progress;
 }
 
+const bool* RestartEngine::RestartingFlag(const std::string& name) const {
+  auto it = components_.find(name);
+  return it == components_.end() ? nullptr : &it->second.in_progress;
+}
+
 int RestartEngine::RestartCount(const std::string& name) const {
   auto it = components_.find(name);
   return it == components_.end() ? 0 : it->second.restarts;

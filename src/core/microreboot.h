@@ -104,6 +104,12 @@ class RestartEngine {
 
   // True between the start of a cycle and its resume hook completing.
   bool IsRestarting(const std::string& name) const;
+  // The flag IsRestarting reads, as a stable handle (nullptr for unknown
+  // names). Components are never unregistered and map nodes never move,
+  // so it lives as long as the engine: the watchdog takes it once in
+  // Supervise and reads it on every heartbeat and deadline instead of
+  // looking the name up.
+  const bool* RestartingFlag(const std::string& name) const;
   // Completed cycles (unknown names report 0 / zero downtime).
   int RestartCount(const std::string& name) const;
   SimDuration LastDowntime(const std::string& name) const;

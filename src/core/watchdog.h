@@ -112,8 +112,14 @@ class Watchdog {
   const WatchdogConfig& config() const { return config_; }
 
  private:
+  // Scheduled beat and deadline callbacks hold an Entry& (map nodes never
+  // move and entries are never erased), so the per-event path does no
+  // name lookup and copies no string.
   struct Entry {
+    const std::string* name = nullptr;  // the entries_ key
     DomainId domain;
+    // RestartEngine::RestartingFlag for this component.
+    const bool* restarting = nullptr;
     std::function<void()> on_quarantine;
     std::unique_ptr<PeriodicTimer> emitter;  // the shard's heartbeat loop
     SimTime last_beat = 0;
@@ -140,12 +146,11 @@ class Watchdog {
     Histogram* m_recovery_ms = nullptr;   // <name>.watchdog.recovery_ms
   };
 
-  void RecordBeat(const std::string& name, Entry& entry);
-  void ScheduleDeadline(const std::string& name, Entry& entry, SimTime at);
-  void CheckDeadline(const std::string& name, std::uint64_t generation);
-  void HandleFailure(const std::string& name, Entry& entry);
-  void Quarantine(const std::string& name, Entry& entry,
-                  const std::string& cause);
+  void RecordBeat(Entry& entry);
+  void ScheduleDeadline(Entry& entry, SimTime at);
+  void CheckDeadline(Entry& entry, std::uint64_t generation);
+  void HandleFailure(Entry& entry);
+  void Quarantine(Entry& entry, const std::string& cause);
   void RecordAudit(AuditEventKind kind, const Entry& entry,
                    const std::string& detail);
 

@@ -1,6 +1,7 @@
 #include "src/drv/blk.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,8 @@ namespace {
 // Largest single ring request, in sectors (matches blkif's 11-page segment
 // limit closely enough: 64 sectors = 32 KiB).
 constexpr std::uint32_t kMaxSectorsPerRequest = 64;
+// Images are carved from above the first 64 MiB, reserved for metadata.
+constexpr std::uint64_t kImageBase = 64 * kMiB;
 }  // namespace
 
 // --- BlkBack -----------------------------------------------------------------
@@ -28,7 +31,12 @@ BlkBack::BlkBack(Hypervisor* hv, XenStoreService* xs, Simulator* sim,
       obs_(Obs::OrGlobal(obs)),
       m_requests_(obs_->metrics().GetCounter("BlkBack.ring.requests")),
       m_bytes_(obs_->metrics().GetCounter("BlkBack.ring.bytes")),
-      m_vbd_connects_(obs_->metrics().GetCounter("BlkBack.vbd.connects")) {}
+      m_vbd_connects_(obs_->metrics().GetCounter("BlkBack.vbd.connects")) {
+  const std::uint64_t capacity = disk_->geometry().capacity_bytes;
+  if (capacity > kImageBase) {
+    free_gaps_.emplace(kImageBase, capacity - kImageBase);
+  }
+}
 
 Status BlkBack::Initialize() {
   XOAR_RETURN_IF_ERROR(xs_->Mkdir(self_, BackendRoot(self_, kVbdType)));
@@ -37,21 +45,47 @@ Status BlkBack::Initialize() {
   return Status::Ok();
 }
 
-std::optional<std::uint64_t> BlkBack::AllocateExtent(
-    std::uint64_t bytes) const {
-  // First-fit over the gaps between live extents. The first 64 MiB are
-  // reserved for metadata.
-  std::uint64_t cursor = 64 * kMiB;
-  for (const auto& [offset, size] : extents_) {
-    if (offset - cursor >= bytes) {
-      return cursor;
+std::optional<std::uint64_t> BlkBack::AllocateExtent(std::uint64_t bytes) {
+  if (bytes == 0) {
+    // Zero bytes fit even the empty gap in front of an image at the base,
+    // so first-fit puts them at the base whenever the disk reaches it.
+    if (kImageBase <= disk_->geometry().capacity_bytes) {
+      return kImageBase;
     }
-    cursor = offset + size;
+    return std::nullopt;
   }
-  if (cursor + bytes <= disk_->geometry().capacity_bytes) {
-    return cursor;
+  for (auto it = free_gaps_.begin(); it != free_gaps_.end(); ++it) {
+    ++gaps_visited_;
+    const auto [offset, size] = *it;
+    if (size < bytes) {
+      continue;
+    }
+    auto next = free_gaps_.erase(it);
+    if (size > bytes) {
+      free_gaps_.emplace_hint(next, offset + bytes, size - bytes);
+    }
+    return offset;
   }
   return std::nullopt;
+}
+
+void BlkBack::FreeExtent(std::uint64_t offset, std::uint64_t bytes) {
+  if (bytes == 0) {
+    return;
+  }
+  auto next = free_gaps_.lower_bound(offset);
+  if (next != free_gaps_.end() && next->first == offset + bytes) {
+    bytes += next->second;
+    next = free_gaps_.erase(next);
+  }
+  if (next != free_gaps_.begin()) {
+    auto prev = std::prev(next);
+    if (prev->first + prev->second == offset) {
+      prev->second += bytes;
+      return;
+    }
+  }
+  free_gaps_.emplace_hint(next, offset, bytes);
 }
 
 Status BlkBack::CreateImage(const std::string& name, std::uint64_t bytes) {
@@ -63,7 +97,6 @@ Status BlkBack::CreateImage(const std::string& name, std::uint64_t bytes) {
     return ResourceExhaustedError("disk full");
   }
   images_.emplace(name, std::make_pair(*offset, bytes));
-  extents_.emplace(*offset, bytes);
   return Status::Ok();
 }
 
@@ -79,7 +112,7 @@ Status BlkBack::DeleteImage(const std::string& name) {
         StrFormat("image %s still bound to dom%u", name.c_str(),
                   bound->second.value()));
   }
-  extents_.erase(extents_.find(it->second));
+  FreeExtent(it->second.first, it->second.second);
   images_.erase(it);
   return Status::Ok();
 }
@@ -92,21 +125,28 @@ StatusOr<std::uint64_t> BlkBack::ImageSize(const std::string& name) const {
   return it->second.second;
 }
 
+StatusOr<std::uint64_t> BlkBack::ImageOffset(const std::string& name) const {
+  auto it = images_.find(name);
+  if (it == images_.end()) {
+    return NotFoundError(StrFormat("no image %s", name.c_str()));
+  }
+  return it->second.first;
+}
+
 Status BlkBack::BindImage(DomainId guest, const std::string& image) {
   auto img = images_.find(image);
   if (img == images_.end()) {
     return NotFoundError(StrFormat("no image %s", image.c_str()));
   }
-  if (vbds_.count(guest) > 0) {
+  if (vbds_.Contains(guest)) {
     return AlreadyExistsError(
         StrFormat("dom%u already has a VBD on this backend", guest.value()));
   }
-  Vbd vbd;
+  Vbd& vbd = vbds_.Insert(guest, std::make_unique<Vbd>());
   vbd.guest = guest;
   vbd.image = image;
   vbd.base_offset = img->second.first;
   vbd.size_bytes = img->second.second;
-  vbds_.emplace(guest, vbd);
   bound_images_.emplace(image, guest);
 
   // Advertise the backend half and let the guest read our state.
@@ -132,11 +172,11 @@ Status BlkBack::BindImage(DomainId guest, const std::string& image) {
 }
 
 void BlkBack::OnFrontendStateChange(DomainId guest) {
-  auto it = vbds_.find(guest);
-  if (it == vbds_.end() || !available_) {
+  Vbd* found = vbds_.Find(guest);
+  if (found == nullptr || !available_) {
     return;
   }
-  Vbd& vbd = it->second;
+  Vbd& vbd = *found;
   StatusOr<std::string> state =
       xs_->Read(self_, FrontendDir(guest, kVbdType) + "/state");
   if (!state.ok()) {
@@ -198,24 +238,23 @@ Status BlkBack::ConnectVbd(Vbd& vbd) {
 }
 
 void BlkBack::ScheduleConnectRetry(DomainId guest) {
-  auto it = vbds_.find(guest);
-  if (it == vbds_.end() || it->second.retry_pending) {
+  Vbd* vbd = vbds_.Find(guest);
+  if (vbd == nullptr || vbd->retry_pending) {
     return;
   }
-  Vbd& vbd = it->second;
-  vbd.retry_pending = true;
-  const SimDuration delay = vbd.connect_backoff.NextDelay();
-  if (vbd.connect_backoff.Exhausted()) {
+  vbd->retry_pending = true;
+  const SimDuration delay = vbd->connect_backoff.NextDelay();
+  if (vbd->connect_backoff.Exhausted()) {
     XLOG(kWarning) << "[blkback] dom" << guest.value()
                    << " connect retries exhausted; continuing at max delay";
   }
   sim_->ScheduleAfter(delay, [this, guest] {
-    auto vbd_it = vbds_.find(guest);
-    if (vbd_it == vbds_.end()) {
+    Vbd* retry = vbds_.Find(guest);
+    if (retry == nullptr) {
       return;
     }
-    vbd_it->second.retry_pending = false;
-    if (!available_ || vbd_it->second.connected) {
+    retry->retry_pending = false;
+    if (!available_ || retry->connected) {
       return;
     }
     OnFrontendStateChange(guest);
@@ -233,42 +272,41 @@ void BlkBack::DisconnectVbd(Vbd& vbd) {
 }
 
 Status BlkBack::DetachVbd(DomainId guest) {
-  auto it = vbds_.find(guest);
-  if (it == vbds_.end()) {
+  Vbd* vbd = vbds_.Find(guest);
+  if (vbd == nullptr) {
     return NotFoundError(
         StrFormat("dom%u has no VBD on this backend", guest.value()));
   }
-  DisconnectVbd(it->second);
+  DisconnectVbd(*vbd);
   (void)xs_->Unwatch(self_, FrontendDir(guest, kVbdType) + "/state",
                      StrFormat("blkback-%u", guest.value()));
-  bound_images_.erase({it->second.image, guest});
-  vbds_.erase(it);
+  bound_images_.erase({vbd->image, guest});
+  vbds_.Erase(guest);
   return Status::Ok();
 }
 
 void BlkBack::ServiceRing(DomainId guest) {
-  auto it = vbds_.find(guest);
-  if (it == vbds_.end() || !it->second.connected || !available_ ||
-      it->second.drain_scheduled) {
+  Vbd* vbd = vbds_.Find(guest);
+  if (vbd == nullptr || !vbd->connected || !available_ ||
+      vbd->drain_scheduled) {
     return;
   }
   // One drain event per kick, not one event per request: the demux overhead
   // is charged once and the drain below batches every request on the ring
   // (mirrors real netback/blkback, which process the whole ring per
   // interrupt and re-check before sleeping).
-  Vbd& vbd = it->second;
-  vbd.drain_scheduled = true;
+  vbd->drain_scheduled = true;
   const SimDuration overhead = static_cast<SimDuration>(
       static_cast<double>(kBlkBackPerOpOverhead) * overhead_multiplier_);
   sim_->ScheduleAfter(overhead, [this, guest] { DrainRing(guest); });
 }
 
 void BlkBack::DrainRing(DomainId guest) {
-  auto it = vbds_.find(guest);
-  if (it == vbds_.end()) {
+  Vbd* found = vbds_.Find(guest);
+  if (found == nullptr) {
     return;
   }
-  Vbd& vbd = it->second;
+  Vbd& vbd = *found;
   vbd.drain_scheduled = false;
   if (!vbd.connected || !available_) {
     return;  // disconnected while the drain was in flight
@@ -309,14 +347,13 @@ void BlkBack::DrainRing(DomainId guest) {
     // drain time preserves each request's completion offset.
     disk_->SubmitIo(byte_offset, static_cast<std::uint32_t>(byte_len),
                     request.is_write != 0, [this, guest, request] {
-                      auto vbd_it = vbds_.find(guest);
-                      if (vbd_it == vbds_.end() ||
-                          !vbd_it->second.connected || !available_) {
+                      const Vbd* v = vbds_.Find(guest);
+                      if (v == nullptr || !v->connected || !available_) {
                         return;  // completion lost; frontend retransmits
                       }
-                      BlkRing r = BlkRing::Attach(vbd_it->second.ring_page);
+                      BlkRing r = BlkRing::Attach(v->ring_page);
                       if (r.PushResponse(BlkRingResponse{request.id, 0})) {
-                        (void)hv_->EvtchnSend(self_, vbd_it->second.port);
+                        (void)hv_->EvtchnSend(self_, v->port);
                       }
                     });
   }
@@ -334,11 +371,11 @@ void BlkBack::DrainRing(DomainId guest) {
 void BlkBack::Suspend() {
   obs_->tracer().Op(TraceCategory::kDriver, "blkback_suspend", self_.value());
   available_ = false;
-  for (auto& [guest, vbd] : vbds_) {
+  vbds_.ForEach([this](DomainId guest, Vbd& vbd) {
     DisconnectVbd(vbd);
     (void)xs_->Write(self_, BackendDir(self_, guest, kVbdType) + "/state",
                      XenbusStateString(XenbusState::kClosing));
-  }
+  });
 }
 
 void BlkBack::Resume() {
@@ -350,14 +387,14 @@ void BlkBack::Resume() {
   // signal frontends get that the backend is back, so giving up would wedge
   // every VBD permanently. Unbounded retry at capped delay (RESILIENCE.md).
   bool transient_failure = false;
-  for (auto& [guest, vbd] : vbds_) {
+  vbds_.ForEach([this, &transient_failure](DomainId guest, const Vbd&) {
     const Status status =
         xs_->Write(self_, BackendDir(self_, guest, kVbdType) + "/state",
                    XenbusStateString(XenbusState::kInitWait));
     if (!status.ok() && status.code() == StatusCode::kUnavailable) {
       transient_failure = true;
     }
-  }
+  });
   if (!transient_failure) {
     resume_backoff_.Reset();
     return;
@@ -379,8 +416,8 @@ bool BlkBack::IsVbdConnected(DomainId guest) const {
   if (self == nullptr || self->state() != DomainState::kRunning) {
     return false;
   }
-  auto it = vbds_.find(guest);
-  return it != vbds_.end() && it->second.connected && available_;
+  const Vbd* vbd = vbds_.Find(guest);
+  return vbd != nullptr && vbd->connected && available_;
 }
 
 // --- BlkFront ----------------------------------------------------------------

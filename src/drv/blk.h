@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/base/backoff.h"
+#include "src/base/domid_table.h"
 #include "src/base/ids.h"
 #include "src/base/status.h"
 #include "src/base/units.h"
@@ -107,6 +108,8 @@ class BlkBack {
   // of manipulating files itself.
   Status CreateImage(const std::string& name, std::uint64_t bytes);
   StatusOr<std::uint64_t> ImageSize(const std::string& name) const;
+  // Where the image's extent starts on the disk.
+  StatusOr<std::uint64_t> ImageOffset(const std::string& name) const;
   // Releases an image's extent back to the disk (first-fit reuse). Fails
   // while a VBD is still bound to it. Destroying a guest without deleting
   // its image fills the disk after enough create/destroy churn — exactly
@@ -127,6 +130,9 @@ class BlkBack {
   void Resume();
 
   bool IsVbdConnected(DomainId guest) const;
+  // Slots in the domid-indexed VBD table; lookups of unknown domids never
+  // grow it (exposed for tests).
+  std::size_t vbd_table_slots() const { return vbds_.slot_count(); }
 
   // Slowdown multiplier applied to per-op overhead (control-VM co-location
   // interference; 1.0 = isolated driver domain).
@@ -136,6 +142,11 @@ class BlkBack {
 
   std::uint64_t requests_served() const { return requests_served_; }
   std::uint64_t bytes_moved() const { return bytes_moved_; }
+  // Free gaps CreateImage's first-fit has examined, in total. With
+  // same-size images every create takes the first gap it looks at; the
+  // density bench fails if the count per create grows with the number of
+  // live images.
+  std::uint64_t first_fit_gaps_visited() const { return gaps_visited_; }
 
  private:
   struct Vbd {
@@ -177,20 +188,25 @@ class BlkBack {
   // delay when XenStore itself is down (RESILIENCE.md).
   ExponentialBackoff resume_backoff_;
   bool resume_retry_pending_ = false;
-  std::map<DomainId, Vbd> vbds_;
+  DomidTable<Vbd> vbds_;
   // (image, guest) of every VBD in vbds_, so DeleteImage's still-bound
   // check is a lookup, not a walk of the VBDs.
   std::set<std::pair<std::string, DomainId>> bound_images_;
-  // Finds a first-fit offset for `bytes`, scanning the gaps left by
-  // deleted images; nullopt when no gap fits.
-  std::optional<std::uint64_t> AllocateExtent(std::uint64_t bytes) const;
+  // Takes `bytes` from the lowest-addressed free gap that fits them and
+  // returns its offset; nullopt when none does (disk full).
+  std::optional<std::uint64_t> AllocateExtent(std::uint64_t bytes);
+  // Returns an extent to the free-gap index, merged with its neighbours.
+  void FreeExtent(std::uint64_t offset, std::uint64_t bytes);
 
   std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
       images_;  // name -> (offset, size)
-  // The (offset, size) of every image, in offset order: the first-fit walk
-  // reads it in place. A multiset, because zero-byte images may share an
-  // offset.
-  std::multiset<std::pair<std::uint64_t, std::uint64_t>> extents_;
+  // Free disk space between live images: offset -> size, in address order,
+  // with no two gaps adjacent. First-fit walks it from the low end, so a
+  // create visits the gaps too small for it and the one it takes, never
+  // the live images.
+  // Zero-byte images take no space and never enter the index.
+  std::map<std::uint64_t, std::uint64_t> free_gaps_;
+  std::uint64_t gaps_visited_ = 0;
   std::uint64_t requests_served_ = 0;
   std::uint64_t bytes_moved_ = 0;
   Obs* obs_;

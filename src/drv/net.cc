@@ -32,13 +32,11 @@ Status NetBack::Initialize() {
 }
 
 Status NetBack::AttachVif(DomainId guest) {
-  if (vifs_.count(guest) > 0) {
+  if (vifs_.Contains(guest)) {
     return AlreadyExistsError(
         StrFormat("dom%u already has a vif on this backend", guest.value()));
   }
-  Vif vif;
-  vif.guest = guest;
-  vifs_.emplace(guest, vif);
+  vifs_.Insert(guest, std::make_unique<Vif>()).guest = guest;
 
   const std::string back_dir = BackendDir(self_, guest, kVifType);
   XOAR_RETURN_IF_ERROR(xs_->Write(self_, back_dir + "/frontend-id",
@@ -60,8 +58,8 @@ Status NetBack::AttachVif(DomainId guest) {
 }
 
 void NetBack::OnFrontendStateChange(DomainId guest) {
-  auto it = vifs_.find(guest);
-  if (it == vifs_.end() || !available_) {
+  Vif* vif = vifs_.Find(guest);
+  if (vif == nullptr || !available_) {
     return;
   }
   StatusOr<std::string> state =
@@ -75,10 +73,10 @@ void NetBack::OnFrontendStateChange(DomainId guest) {
     return;
   }
   if (XenbusStateFromString(*state) == XenbusState::kInitialised &&
-      !it->second.connected) {
-    const Status status = ConnectVif(it->second);
+      !vif->connected) {
+    const Status status = ConnectVif(*vif);
     if (status.ok()) {
-      it->second.connect_backoff.Reset();
+      vif->connect_backoff.Reset();
     } else if (status.code() == StatusCode::kUnavailable) {
       ScheduleConnectRetry(guest);
     } else {
@@ -129,24 +127,23 @@ Status NetBack::ConnectVif(Vif& vif) {
 }
 
 void NetBack::ScheduleConnectRetry(DomainId guest) {
-  auto it = vifs_.find(guest);
-  if (it == vifs_.end() || it->second.retry_pending) {
+  Vif* vif = vifs_.Find(guest);
+  if (vif == nullptr || vif->retry_pending) {
     return;
   }
-  Vif& vif = it->second;
-  vif.retry_pending = true;
-  const SimDuration delay = vif.connect_backoff.NextDelay();
-  if (vif.connect_backoff.Exhausted()) {
+  vif->retry_pending = true;
+  const SimDuration delay = vif->connect_backoff.NextDelay();
+  if (vif->connect_backoff.Exhausted()) {
     XLOG(kWarning) << "[netback] dom" << guest.value()
                    << " connect retries exhausted; continuing at max delay";
   }
   sim_->ScheduleAfter(delay, [this, guest] {
-    auto vif_it = vifs_.find(guest);
-    if (vif_it == vifs_.end()) {
+    Vif* retry = vifs_.Find(guest);
+    if (retry == nullptr) {
       return;
     }
-    vif_it->second.retry_pending = false;
-    if (!available_ || vif_it->second.connected) {
+    retry->retry_pending = false;
+    if (!available_ || retry->connected) {
       return;
     }
     OnFrontendStateChange(guest);
@@ -166,28 +163,27 @@ void NetBack::DisconnectVif(Vif& vif) {
 }
 
 Status NetBack::DetachVif(DomainId guest) {
-  auto it = vifs_.find(guest);
-  if (it == vifs_.end()) {
+  Vif* vif = vifs_.Find(guest);
+  if (vif == nullptr) {
     return NotFoundError(
         StrFormat("dom%u has no vif on this backend", guest.value()));
   }
-  DisconnectVif(it->second);
+  DisconnectVif(*vif);
   (void)xs_->Unwatch(self_, FrontendDir(guest, kVifType) + "/state",
                      StrFormat("netback-%u", guest.value()));
-  vifs_.erase(it);
+  vifs_.Erase(guest);
   return Status::Ok();
 }
 
 void NetBack::ServiceTxRing(DomainId guest) {
-  auto it = vifs_.find(guest);
-  if (it == vifs_.end() || !it->second.connected || !available_ ||
-      it->second.drain_scheduled) {
+  Vif* vif = vifs_.Find(guest);
+  if (vif == nullptr || !vif->connected || !available_ ||
+      vif->drain_scheduled) {
     return;
   }
   // One drain event per kick (demux overhead charged once per batch), not
   // one simulator event per frame; see BlkBack::ServiceRing.
-  Vif& vif = it->second;
-  vif.drain_scheduled = true;
+  vif->drain_scheduled = true;
   const SimDuration overhead = static_cast<SimDuration>(
       static_cast<double>(kNetBackPerFrameOverhead) /
       std::max(0.05, rate_multiplier_));
@@ -195,16 +191,15 @@ void NetBack::ServiceTxRing(DomainId guest) {
 }
 
 void NetBack::DrainTxRing(DomainId guest) {
-  auto it = vifs_.find(guest);
-  if (it == vifs_.end()) {
+  Vif* vif = vifs_.Find(guest);
+  if (vif == nullptr) {
     return;
   }
-  Vif& vif = it->second;
-  vif.drain_scheduled = false;
-  if (!vif.connected || !available_) {
+  vif->drain_scheduled = false;
+  if (!vif->connected || !available_) {
     return;  // vif torn down while the drain was in flight
   }
-  NetRing ring = NetRing::Attach(vif.tx_ring);
+  NetRing ring = NetRing::Attach(vif->tx_ring);
   std::uint32_t budget = kNetBackDrainBudget;
   while (budget > 0) {
     auto req = ring.PopRequest();
@@ -225,13 +220,13 @@ void NetBack::DrainTxRing(DomainId guest) {
     // The NIC serializes frames at link rate internally, so submitting the
     // whole batch at drain time preserves each frame's wire time.
     nic_->Transmit(request.bytes, [this, guest, request] {
-      auto v = vifs_.find(guest);
-      if (v == vifs_.end() || !v->second.connected || !available_) {
+      const Vif* v = vifs_.Find(guest);
+      if (v == nullptr || !v->connected || !available_) {
         return;  // frame lost mid-reboot; the guest's TCP retransmits
       }
-      NetRing r = NetRing::Attach(v->second.tx_ring);
+      NetRing r = NetRing::Attach(v->tx_ring);
       if (r.PushResponse(NetRingResponse{request.id, 0})) {
-        (void)hv_->EvtchnSend(self_, v->second.port);
+        (void)hv_->EvtchnSend(self_, v->port);
       }
     });
   }
@@ -243,17 +238,16 @@ void NetBack::DrainTxRing(DomainId guest) {
 }
 
 bool NetBack::InjectRx(DomainId guest, std::uint32_t bytes) {
-  auto it = vifs_.find(guest);
-  if (it == vifs_.end() || !it->second.connected || !available_ ||
+  const Vif* vif = vifs_.Find(guest);
+  if (vif == nullptr || !vif->connected || !available_ ||
       !nic_->link_up()) {
     ++frames_dropped_;
     m_dropped_->Increment();
     return false;
   }
-  Vif& vif = it->second;
   // Role-swapped ring: the backend produces rx "requests" the frontend
   // consumes.
-  NetRing ring = NetRing::Attach(vif.rx_ring);
+  NetRing ring = NetRing::Attach(vif->rx_ring);
   if (!ring.PushRequest(NetRingRequest{0, bytes})) {
     ++frames_dropped_;  // frontend rx ring overrun
     m_dropped_->Increment();
@@ -261,7 +255,7 @@ bool NetBack::InjectRx(DomainId guest, std::uint32_t bytes) {
   }
   ++frames_forwarded_;
   m_rx_frames_->Increment();
-  (void)hv_->EvtchnSend(self_, vif.port);
+  (void)hv_->EvtchnSend(self_, vif->port);
   return true;
 }
 
@@ -269,11 +263,11 @@ void NetBack::Suspend() {
   obs_->tracer().Op(TraceCategory::kDriver, "netback_suspend", self_.value());
   available_ = false;
   nic_->clear_rx_handler();
-  for (auto& [guest, vif] : vifs_) {
+  vifs_.ForEach([this](DomainId guest, Vif& vif) {
     DisconnectVif(vif);
     (void)xs_->Write(self_, BackendDir(self_, guest, kVifType) + "/state",
                      XenbusStateString(XenbusState::kClosing));
-  }
+  });
 }
 
 void NetBack::Resume() {
@@ -284,14 +278,14 @@ void NetBack::Resume() {
   // if XenStore is itself down it MUST be retried — unbounded, at capped
   // delay (RESILIENCE.md).
   bool transient_failure = false;
-  for (auto& [guest, vif] : vifs_) {
+  vifs_.ForEach([this, &transient_failure](DomainId guest, const Vif&) {
     const Status status =
         xs_->Write(self_, BackendDir(self_, guest, kVifType) + "/state",
                    XenbusStateString(XenbusState::kInitWait));
     if (!status.ok() && status.code() == StatusCode::kUnavailable) {
       transient_failure = true;
     }
-  }
+  });
   if (!transient_failure) {
     resume_backoff_.Reset();
     return;
@@ -315,8 +309,8 @@ bool NetBack::IsVifConnected(DomainId guest) const {
   if (self == nullptr || self->state() != DomainState::kRunning) {
     return false;
   }
-  auto it = vifs_.find(guest);
-  return it != vifs_.end() && it->second.connected && available_;
+  const Vif* vif = vifs_.Find(guest);
+  return vif != nullptr && vif->connected && available_;
 }
 
 // --- NetFront ----------------------------------------------------------------

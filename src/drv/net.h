@@ -25,6 +25,7 @@
 #include <string>
 
 #include "src/base/backoff.h"
+#include "src/base/domid_table.h"
 #include "src/base/ids.h"
 #include "src/base/status.h"
 #include "src/base/units.h"
@@ -94,6 +95,9 @@ class NetBack {
   void Resume();
 
   bool IsVifConnected(DomainId guest) const;
+  // Slots in the domid-indexed vif table; lookups of unknown domids never
+  // grow it (exposed for tests).
+  std::size_t vif_table_slots() const { return vifs_.slot_count(); }
 
   // Rate multiplier on the effective data-path throughput; below 1.0 when
   // the driver shares a control VM with other busy services (Fig 6.2's
@@ -144,7 +148,7 @@ class NetBack {
   // Resume() re-advertisement retry, see BlkBack.
   ExponentialBackoff resume_backoff_;
   bool resume_retry_pending_ = false;
-  std::map<DomainId, Vif> vifs_;
+  DomidTable<Vif> vifs_;
   std::uint64_t frames_forwarded_ = 0;
   std::uint64_t frames_dropped_ = 0;
   Obs* obs_;

@@ -49,32 +49,21 @@ void Hypervisor::Audit(const std::string& event) {
 
 DomainId Hypervisor::NextDomainId() { return DomainId(next_domid_++); }
 
-void Hypervisor::InstallDomain(std::unique_ptr<Domain> dom) {
-  const std::uint32_t id = dom->id().value();
-  if (id >= domains_.size()) {
-    domains_.resize(id + 1);
-  }
-  domains_[id] = std::move(dom);
-}
-
-Domain* Hypervisor::domain(DomainId id) {
-  // Invalid() is the largest domid, so the bounds check rejects it too.
-  return id.value() < domains_.size() ? domains_[id.value()].get() : nullptr;
-}
+Domain* Hypervisor::domain(DomainId id) { return domains_.Find(id); }
 
 const Domain* Hypervisor::domain(DomainId id) const {
-  return id.value() < domains_.size() ? domains_[id.value()].get() : nullptr;
+  return domains_.Find(id);
 }
 
 std::vector<DomainId> Hypervisor::AllDomains() const {
   ++domain_table_scans_;
   std::vector<DomainId> out;
   out.reserve(live_count_);
-  for (const auto& dom : domains_) {
-    if (dom != nullptr && dom->alive()) {
-      out.push_back(dom->id());
+  domains_.ForEach([&out](DomainId id, const Domain& dom) {
+    if (dom.alive()) {
+      out.push_back(id);
     }
-  }
+  });
   return out;
 }
 
@@ -191,7 +180,7 @@ Status Hypervisor::CheckIvcAllowed(DomainId a, DomainId b) const {
 
 StatusOr<DomainId> Hypervisor::CreateInitialDomain(const DomainConfig& config,
                                                    bool as_control_domain) {
-  if (!domains_.empty()) {
+  if (domains_.slot_count() > 0) {
     return FailedPreconditionError("initial domain already exists");
   }
   DomainId id = NextDomainId();
@@ -205,7 +194,7 @@ StatusOr<DomainId> Hypervisor::CreateInitialDomain(const DomainConfig& config,
   dom->set_state(DomainState::kRunning);
   Audit(StrFormat("create-initial dom%u name=%s control=%d", id.value(),
                   config.name.c_str(), as_control_domain ? 1 : 0));
-  InstallDomain(std::move(dom));
+  domains_.Insert(id, std::move(dom));
   ++live_count_;
   m_domain_creates_->Increment();
   m_domains_live_->Set(static_cast<double>(live_count_));
@@ -237,7 +226,7 @@ StatusOr<DomainId> Hypervisor::CreateDomain(DomainId caller,
   Audit(StrFormat("create dom%u name=%s by=dom%u parent=dom%u shard=%d",
                   id.value(), config.name.c_str(), caller.value(),
                   dom->parent_toolstack().value(), config.is_shard ? 1 : 0));
-  InstallDomain(std::move(dom));
+  domains_.Insert(id, std::move(dom));
   ++live_count_;
   m_domain_creates_->Increment();
   m_domains_live_->Set(static_cast<double>(live_count_));

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/domid_table.h"
 #include "src/base/ids.h"
 #include "src/base/status.h"
 #include "src/base/units.h"
@@ -221,8 +222,6 @@ class Hypervisor {
   Status CheckCallerAlive(DomainId caller) const;
   void Audit(const std::string& event);
   DomainId NextDomainId();
-  // Stores a newly created domain in its domid's slot.
-  void InstallDomain(std::unique_ptr<Domain> dom);
 
   Simulator* sim_;
   Options options_;
@@ -241,8 +240,8 @@ class Hypervisor {
   EventChannelManager evtchn_;
   // Indexed by domid, as in Xen. Domids are handed out sequentially and
   // never reused, and a destroyed domain stays in its slot (kDead); a
-  // nullptr slot is a domid whose CreateDomain failed.
-  std::vector<std::unique_ptr<Domain>> domains_;
+  // domid with no entry is one whose CreateDomain failed.
+  DomidTable<Domain> domains_;
   std::size_t live_count_ = 0;
   // PCI assignment index: slot -> owning domain, so assign_pci_device's
   // already-assigned check (§3.1) is a lookup, not a domain-table scan.

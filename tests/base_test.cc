@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "src/base/domid_table.h"
 #include "src/base/hash_chain.h"
 #include "src/base/ids.h"
 #include "src/base/rng.h"
@@ -225,6 +229,43 @@ TEST(HashChainTest, OrderMatters) {
   ba.Append("b");
   ba.Append("a");
   EXPECT_NE(ab.head(), ba.head());
+}
+
+// --- DomidTable ---
+
+TEST(DomidTableTest, FindNeverGrowsTheTable) {
+  DomidTable<int> table;
+  EXPECT_EQ(table.Find(DomainId(0)), nullptr);
+  table.Insert(DomainId(3), std::make_unique<int>(30));
+  EXPECT_EQ(table.slot_count(), 4u);
+  for (const DomainId id : {DomainId(0), DomainId(2), DomainId(4),
+                            DomainId(1u << 30), DomainId::Invalid()}) {
+    EXPECT_EQ(table.Find(id), nullptr);
+    EXPECT_FALSE(table.Contains(id));
+    EXPECT_FALSE(table.Erase(id));
+  }
+  EXPECT_EQ(table.slot_count(), 4u);
+  ASSERT_NE(table.Find(DomainId(3)), nullptr);
+  EXPECT_EQ(*table.Find(DomainId(3)), 30);
+}
+
+TEST(DomidTableTest, EntriesSurviveGrowthAndIterateInDomidOrder) {
+  DomidTable<int> table;
+  int& first = table.Insert(DomainId(5), std::make_unique<int>(50));
+  table.Insert(DomainId(1), std::make_unique<int>(10));
+  table.Insert(DomainId(1000), std::make_unique<int>(10000));
+  EXPECT_EQ(&first, table.Find(DomainId(5)));  // not moved by the resize
+  EXPECT_TRUE(table.Erase(DomainId(1)));
+  EXPECT_EQ(table.Find(DomainId(1)), nullptr);
+  table.Insert(DomainId(2), std::make_unique<int>(20));
+  std::vector<std::uint32_t> ids;
+  std::vector<int> values;
+  table.ForEach([&](DomainId id, const int& value) {
+    ids.push_back(id.value());
+    values.push_back(value);
+  });
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{2, 5, 1000}));
+  EXPECT_EQ(values, (std::vector<int>{20, 50, 10000}));
 }
 
 }  // namespace

@@ -231,5 +231,109 @@ TEST_F(XoarDriverTest, RepeatedRestartCyclesStayHealthy) {
   EXPECT_EQ(received, 1000u);
 }
 
+// --- Detach with work in flight; lookups of unknown domids ---
+//
+// The backends find a guest's vif/VBD by domid on every drain and device
+// completion. A detach while one is queued must leave it a no-op that
+// pushes no response, and a lookup of a domid with no entry must not grow
+// the domid-indexed tables.
+
+TEST_F(XoarDriverTest, VifDetachedWithTxDrainInFlightPushesNothing) {
+  platform_.Settle();
+  NetBack& netback = platform_.netback();
+  NetFront* net = platform_.netfront(guest_);
+  const std::uint64_t forwarded = netback.frames_forwarded();
+  const std::uint64_t on_wire = netback.nic()->tx_frames();
+  int done = 0;
+  net->SendFrame(1500, [&](Status) { ++done; });
+  // The kick is delivered; its drain is still queued behind the per-frame
+  // overhead.
+  platform_.sim().RunFor(kEventDeliveryLatency);
+  ASSERT_EQ(netback.frames_forwarded(), forwarded);
+  ASSERT_TRUE(netback.DetachVif(guest_).ok());
+  platform_.sim().RunFor(kMillisecond);
+  EXPECT_EQ(netback.frames_forwarded(), forwarded);
+  EXPECT_EQ(netback.nic()->tx_frames(), on_wire);
+  EXPECT_EQ(net->tx_completed(), 0u);
+  EXPECT_EQ(done, 0);
+}
+
+TEST_F(XoarDriverTest, VifDetachedWithNicCompletionInFlightPushesNothing) {
+  platform_.Settle();
+  NetBack& netback = platform_.netback();
+  NetFront* net = platform_.netfront(guest_);
+  const std::uint64_t forwarded = netback.frames_forwarded();
+  int done = 0;
+  net->SendFrame(1500, [&](Status) { ++done; });
+  // The drain has handed the frame to the NIC; its wire time has not
+  // elapsed.
+  platform_.sim().RunFor(kEventDeliveryLatency + kNetBackPerFrameOverhead);
+  ASSERT_EQ(netback.frames_forwarded(), forwarded + 1);
+  ASSERT_EQ(net->tx_completed(), 0u);
+  ASSERT_TRUE(netback.DetachVif(guest_).ok());
+  platform_.sim().RunFor(kMillisecond);
+  EXPECT_EQ(net->tx_completed(), 0u);
+  EXPECT_EQ(done, 0);
+}
+
+TEST_F(XoarDriverTest, VbdDetachedWithDrainInFlightPushesNothing) {
+  platform_.Settle();
+  BlkBack& blkback = platform_.blkback();
+  BlkFront* blk = platform_.blkfront(guest_);
+  const std::uint64_t served = blkback.requests_served();
+  int done = 0;
+  blk->WriteBytes(0, 4 * kKiB, [&](Status) { ++done; });
+  platform_.sim().RunFor(kEventDeliveryLatency);
+  ASSERT_EQ(blkback.requests_served(), served);
+  ASSERT_TRUE(blkback.DetachVbd(guest_).ok());
+  platform_.sim().RunFor(100 * kMillisecond);
+  EXPECT_EQ(blkback.requests_served(), served);
+  EXPECT_EQ(blk->completed_ios(), 0u);
+  EXPECT_EQ(done, 0);
+}
+
+TEST_F(XoarDriverTest, VbdDetachedWithDiskCompletionInFlightPushesNothing) {
+  platform_.Settle();
+  BlkBack& blkback = platform_.blkback();
+  BlkFront* blk = platform_.blkfront(guest_);
+  const std::uint64_t served = blkback.requests_served();
+  int done = 0;
+  blk->WriteBytes(0, 4 * kKiB, [&](Status) { ++done; });
+  // The drain has submitted the request to the disk; its service time has
+  // not elapsed.
+  platform_.sim().RunFor(kEventDeliveryLatency + kBlkBackPerOpOverhead);
+  ASSERT_EQ(blkback.requests_served(), served + 1);
+  ASSERT_EQ(blk->completed_ios(), 0u);
+  ASSERT_TRUE(blkback.DetachVbd(guest_).ok());
+  platform_.sim().RunFor(100 * kMillisecond);
+  EXPECT_EQ(blk->completed_ios(), 0u);
+  EXPECT_EQ(done, 0);
+}
+
+TEST_F(XoarDriverTest, UnknownDomidLookupsNeverGrowTheBackendTables) {
+  NetBack& netback = platform_.netback();
+  BlkBack& blkback = platform_.blkback();
+  const std::size_t vif_slots = netback.vif_table_slots();
+  const std::size_t vbd_slots = blkback.vbd_table_slots();
+  ASSERT_GT(vif_slots, guest_.value());
+  ASSERT_GT(vbd_slots, guest_.value());
+  for (const DomainId unknown :
+       {DomainId(0), DomainId(guest_.value() + 1),
+        DomainId(guest_.value() + 100000), DomainId(1u << 31),
+        DomainId::Invalid()}) {
+    SCOPED_TRACE(unknown.value());
+    EXPECT_FALSE(netback.InjectRx(unknown, 1500));
+    EXPECT_FALSE(netback.IsVifConnected(unknown));
+    EXPECT_FALSE(blkback.IsVbdConnected(unknown));
+    EXPECT_EQ(netback.DetachVif(unknown).code(), StatusCode::kNotFound);
+    EXPECT_EQ(blkback.DetachVbd(unknown).code(), StatusCode::kNotFound);
+  }
+  EXPECT_EQ(netback.vif_table_slots(), vif_slots);
+  EXPECT_EQ(blkback.vbd_table_slots(), vbd_slots);
+  // The guest's own entries are still there.
+  EXPECT_TRUE(netback.IsVifConnected(guest_));
+  EXPECT_TRUE(blkback.IsVbdConnected(guest_));
+}
+
 }  // namespace
 }  // namespace xoar

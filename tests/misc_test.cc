@@ -3,7 +3,16 @@
 // several delegated driver domains, and shard-inventory sanity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/base/log.h"
+#include "src/base/rng.h"
 #include "src/core/xoar_platform.h"
 #include "src/xs/wire.h"
 
@@ -87,6 +96,203 @@ TEST_F(BlkImageTest, OneVbdPerGuestPerBackend) {
   ASSERT_TRUE(platform_.blkback().CreateImage("second", 64 * kMiB).ok());
   EXPECT_EQ(platform_.blkback().BindImage(guest, "second").code(),
             StatusCode::kAlreadyExists);
+}
+
+// --- BlkBack first-fit allocator against the extent walk it replaced ---
+
+constexpr std::uint64_t kImageBase = 64 * kMiB;  // metadata reserve
+
+// The first-fit walk BlkBack ran before its free-gap index, kept as the
+// reference: each create walks every live extent in offset order from the
+// metadata reserve and takes the first gap that fits.
+class ExtentWalk {
+ public:
+  explicit ExtentWalk(std::uint64_t capacity) : capacity_(capacity) {}
+
+  std::optional<std::uint64_t> Create(std::uint64_t bytes) {
+    std::optional<std::uint64_t> offset = FirstFit(bytes);
+    if (offset.has_value()) {
+      extents_.emplace(*offset, bytes);
+    }
+    return offset;
+  }
+  void Delete(std::uint64_t offset, std::uint64_t bytes) {
+    extents_.erase(extents_.find({offset, bytes}));
+  }
+  // Sizes of the non-empty gaps, the trailing one included.
+  std::vector<std::uint64_t> GapSizes() const {
+    std::vector<std::uint64_t> sizes;
+    std::uint64_t cursor = kImageBase;
+    for (const auto& [offset, size] : extents_) {
+      if (offset > cursor) {
+        sizes.push_back(offset - cursor);
+      }
+      cursor = offset + size;
+    }
+    if (capacity_ > cursor) {
+      sizes.push_back(capacity_ - cursor);
+    }
+    return sizes;
+  }
+
+ private:
+  std::optional<std::uint64_t> FirstFit(std::uint64_t bytes) const {
+    std::uint64_t cursor = kImageBase;
+    for (const auto& [offset, size] : extents_) {
+      if (offset - cursor >= bytes) {
+        return cursor;
+      }
+      cursor = offset + size;
+    }
+    if (cursor + bytes <= capacity_) {
+      return cursor;
+    }
+    return std::nullopt;
+  }
+
+  std::uint64_t capacity_;
+  std::multiset<std::pair<std::uint64_t, std::uint64_t>> extents_;
+};
+
+// A BlkBack on its own disk: the image daemon touches neither the
+// hypervisor nor XenStore.
+class BlkAllocatorTest : public ::testing::Test {
+ protected:
+  void MakeBackend(std::uint64_t capacity) {
+    DiskGeometry geometry;
+    geometry.capacity_bytes = capacity;
+    disk_ = std::make_unique<DiskDevice>(&sim_, PciSlot{0, 3, 0}, geometry);
+    back_ = std::make_unique<BlkBack>(nullptr, nullptr, &sim_, DomainId(1),
+                                      disk_.get(), &obs_);
+  }
+  std::uint64_t OffsetOf(const std::string& image) {
+    StatusOr<std::uint64_t> offset = back_->ImageOffset(image);
+    EXPECT_TRUE(offset.ok()) << image;
+    return offset.ok() ? *offset : 0;
+  }
+
+  Simulator sim_;
+  Obs obs_;
+  std::unique_ptr<DiskDevice> disk_;
+  std::unique_ptr<BlkBack> back_;
+};
+
+TEST_F(BlkAllocatorTest, DeletesMergeWithBothNeighbours) {
+  MakeBackend(kImageBase + 10 * kMiB);
+  ASSERT_TRUE(back_->CreateImage("a", 2 * kMiB).ok());
+  ASSERT_TRUE(back_->CreateImage("b", 3 * kMiB).ok());
+  ASSERT_TRUE(back_->CreateImage("c", 4 * kMiB).ok());
+  EXPECT_EQ(OffsetOf("c"), kImageBase + 5 * kMiB);
+  ASSERT_TRUE(back_->DeleteImage("a").ok());
+  ASSERT_TRUE(back_->DeleteImage("c").ok());
+  // 2 MiB in front of b and 5 MiB behind it: 4 MiB only fits behind.
+  ASSERT_TRUE(back_->CreateImage("d", 4 * kMiB).ok());
+  EXPECT_EQ(OffsetOf("d"), kImageBase + 5 * kMiB);
+  ASSERT_TRUE(back_->DeleteImage("d").ok());
+  // Freeing b joins the gap in front, b's extent and the gap behind.
+  ASSERT_TRUE(back_->DeleteImage("b").ok());
+  ASSERT_TRUE(back_->CreateImage("all", 10 * kMiB).ok());
+  EXPECT_EQ(OffsetOf("all"), kImageBase);
+  // Full to the byte; a zero-byte image still lands at the base.
+  EXPECT_EQ(back_->CreateImage("more", 1).code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_TRUE(back_->CreateImage("empty", 0).ok());
+  EXPECT_EQ(OffsetOf("empty"), kImageBase);
+}
+
+TEST_F(BlkAllocatorTest, SizesNearTheTopOfTheRangeDoNotWrap) {
+  MakeBackend(kImageBase + 10 * kMiB);
+  ASSERT_TRUE(back_->CreateImage("a", kMiB).ok());
+  // offset + size would wrap past zero and compare as if it fit.
+  for (const std::uint64_t bytes :
+       {UINT64_MAX, UINT64_MAX - kImageBase, UINT64_MAX - 2 * kMiB}) {
+    EXPECT_EQ(back_->CreateImage("wrap", bytes).code(),
+              StatusCode::kResourceExhausted)
+        << bytes;
+  }
+  ASSERT_TRUE(back_->CreateImage("b", 9 * kMiB).ok());
+  EXPECT_EQ(OffsetOf("b"), kImageBase + kMiB);
+}
+
+TEST_F(BlkAllocatorTest, DiskSmallerThanTheReserveHoldsNothing) {
+  MakeBackend(kImageBase - 1);
+  EXPECT_EQ(back_->CreateImage("empty", 0).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(back_->CreateImage("one", 1).code(),
+            StatusCode::kResourceExhausted);
+}
+
+// Seeded create/delete churn with mixed sizes, zero-byte images, exact
+// fits and disk-full, at three live-image populations: every offset (and
+// every disk-full) must match the reference walk.
+TEST_F(BlkAllocatorTest, SeededChurnMatchesTheExtentWalk) {
+  constexpr std::uint64_t kMaxImage = 4 * kMiB;
+  for (const std::uint64_t live_target : {1u, 16u, 1024u}) {
+    SCOPED_TRACE(live_target);
+    // Room for ~0.9 of the target at the mean image size, so the disk
+    // fills and churn runs through a fragmented free list.
+    const std::uint64_t capacity =
+        kImageBase + live_target * (kMaxImage / 2) * 9 / 10;
+    MakeBackend(capacity);
+    ExtentWalk reference(capacity);
+    Rng rng(live_target);
+    std::vector<std::pair<std::string, std::pair<std::uint64_t,
+                                                 std::uint64_t>>> live;
+    int zero_byte = 0;
+    int exact_fits = 0;
+    int disk_full = 0;
+    int deletes = 0;
+    std::size_t max_live = 0;
+    const int ops = 2000 + 8 * static_cast<int>(live_target);
+    for (int op = 0; op < ops; ++op) {
+      const bool create = live.empty() ||
+                          (live.size() < live_target && rng.NextBool(0.6)) ||
+                          rng.NextBool(0.3);
+      if (!create) {
+        const std::size_t index = rng.NextBelow(live.size());
+        const auto [offset, bytes] = live[index].second;
+        ASSERT_TRUE(back_->DeleteImage(live[index].first).ok());
+        reference.Delete(offset, bytes);
+        live[index] = live.back();
+        live.pop_back();
+        ++deletes;
+        continue;
+      }
+      std::uint64_t bytes = rng.NextInRange(1, kMaxImage);
+      const double kind = rng.NextDouble();
+      if (kind < 0.1) {
+        bytes = 0;
+        ++zero_byte;
+      } else if (kind < 0.25) {
+        const std::vector<std::uint64_t> gaps = reference.GapSizes();
+        if (!gaps.empty()) {
+          bytes = gaps[rng.NextBelow(gaps.size())];
+          ++exact_fits;
+        }
+      } else if (kind < 0.27) {
+        bytes = capacity;  // never fits past the reserve
+      }
+      const std::string name = StrFormat("img-%d", op);
+      const std::optional<std::uint64_t> expected = reference.Create(bytes);
+      const Status status = back_->CreateImage(name, bytes);
+      ASSERT_EQ(status.ok(), expected.has_value())
+          << "op " << op << " bytes " << bytes << ": " << status;
+      if (!expected.has_value()) {
+        EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+        ++disk_full;
+        continue;
+      }
+      ASSERT_EQ(OffsetOf(name), *expected) << "op " << op << " bytes "
+                                           << bytes;
+      live.push_back({name, {*expected, bytes}});
+      max_live = std::max(max_live, live.size());
+    }
+    EXPECT_GT(zero_byte, 0);
+    EXPECT_GT(exact_fits, 0);
+    EXPECT_GT(disk_full, 0);
+    EXPECT_GT(deletes, 0);
+    EXPECT_GE(max_live, live_target);
+  }
 }
 
 // --- Toolstack backend selection across several driver domains ---

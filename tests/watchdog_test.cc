@@ -5,11 +5,51 @@
 // recovery is automatic and bounded, and everything replays byte for byte.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <string>
 
+#include "src/core/snapshot.h"
 #include "src/core/watchdog.h"
 #include "src/core/xoar_platform.h"
 #include "src/fault/fault.h"
+
+// Sanitizer builds bring their own allocator, so only the plain build
+// replaces operator new to count allocations.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define XOAR_COUNTS_ALLOCATIONS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define XOAR_COUNTS_ALLOCATIONS 0
+#endif
+#endif
+#ifndef XOAR_COUNTS_ALLOCATIONS
+#define XOAR_COUNTS_ALLOCATIONS 1
+#endif
+
+#if XOAR_COUNTS_ALLOCATIONS
+namespace {
+// Heap allocations made while g_count_allocations is set.
+bool g_count_allocations = false;
+std::size_t g_allocations = 0;
+}  // namespace
+
+// Kept out of line: inlined into a delete-expression, GCC pairs the
+// builtin operator new with this free() and warns of a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocations) {
+    ++g_allocations;
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+#endif
 
 namespace xoar {
 namespace {
@@ -181,6 +221,41 @@ TEST(WatchdogConfigTest, SupervisionCanBeDisabled) {
   platform.Settle(2 * kSecond);
   EXPECT_EQ(platform.hv().domain(dom)->state(), DomainState::kDead);
 }
+
+#if XOAR_COUNTS_ALLOCATIONS
+// Heartbeats and deadline checks are most of a busy host's simulator
+// events (DESIGN.md §5d), so supervising a component must cost no heap
+// allocation per event: the callbacks hold their Entry, not a copy of the
+// component's name.
+TEST(WatchdogAllocationTest, BeatsAndDeadlinesAllocateNothing) {
+  Simulator sim;
+  Obs obs;
+  Hypervisor hv(&sim, Hypervisor::Options{}, &obs);
+  StatusOr<DomainId> dom =
+      hv.CreateInitialDomain(DomainConfig{.name = "state"}, true);
+  ASSERT_TRUE(dom.ok());
+  SnapshotManager snapshots;
+  RestartEngine engine(&hv, &sim, &snapshots, *dom, nullptr, &obs);
+  // Longer than std::string's inline buffer, so any copy would allocate.
+  const std::string name = "XenStore-State-1";
+  ASSERT_TRUE(engine.Register(name, *dom, {}).ok());
+  Watchdog watchdog(&sim, &hv, &engine, nullptr, &obs);
+  ASSERT_TRUE(watchdog.Supervise(name).ok());
+  sim.RunFor(200 * kMillisecond);  // warm-up: event slab and heap storage
+
+  const std::uint64_t events_before = sim.EventsExecuted();
+  g_allocations = 0;
+  g_count_allocations = true;
+  sim.RunFor(kSecond);
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations, 0u);
+  // 100 beats (one per 10 ms) and 25 deadline checks (each re-armed for
+  // 50 ms after the latest beat, so one per 40 ms); nothing failed.
+  EXPECT_EQ(sim.EventsExecuted() - events_before, 125u);
+  EXPECT_EQ(watchdog.auto_restarts(), 0u);
+  EXPECT_FALSE(watchdog.IsQuarantined(name));
+}
+#endif
 
 // Same seed, same plan, two independent worlds: the supervision loop must
 // not disturb the simulator's replay guarantee. This is the unit-level

@@ -35,8 +35,9 @@
 // density.* summary metrics must be present, the create path must have
 // performed zero O(n) domain-table scans, the top-level "sweep" array must
 // be well-formed with strictly ascending domain targets, and per-domain
-// control-plane bytes must stay flat — no more than 10% growth from one
-// sweep point to the next (the §2.3.1 hosting-density requirement).
+// control-plane bytes and BlkBack's first-fit gaps visited per create must
+// stay flat — no more than 10% growth from one sweep point to the next
+// (the §2.3.1 hosting-density requirement).
 //
 // The --sim mode checks a simulator-core bench report (bench/micro_sim_core,
 // DESIGN.md §5f) beyond the generic BENCH shape: every sim_core.* gauge
@@ -436,6 +437,7 @@ bool ValidateDensity(const std::string& path) {
 
   double prev_domains = 0;
   double prev_bytes = -1;
+  double prev_gaps = -1;
   for (const JsonValue& entry : sweep->array()) {
     CHECK_OR_FAIL(entry.is_object(), "%s: sweep entry is not an object",
                   path.c_str());
@@ -469,6 +471,16 @@ bool ValidateDensity(const std::string& path) {
                   "path",
                   path.c_str(), domains->number(),
                   scans == nullptr ? -1 : scans->number());
+    const JsonValue* gaps = field("first_fit_gaps_per_create");
+    CHECK_OR_FAIL(gaps != nullptr && gaps->number() >= 0,
+                  "%s: sweep@%g: missing \"first_fit_gaps_per_create\"",
+                  path.c_str(), domains->number());
+    // Flat allocator work: <= 10% growth per sweep step, like the bytes.
+    CHECK_OR_FAIL(prev_gaps < 0 || gaps->number() <= prev_gaps * 1.10,
+                  "%s: first-fit gaps visited per create grew %g -> %g "
+                  "(> 10%%)",
+                  path.c_str(), prev_gaps, gaps->number());
+    prev_gaps = gaps->number();
     const JsonValue* bytes = field("per_domain_control_bytes");
     CHECK_OR_FAIL(bytes != nullptr && bytes->number() > 0,
                   "%s: sweep@%g: missing \"per_domain_control_bytes\"",
