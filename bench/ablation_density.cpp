@@ -18,6 +18,9 @@
 //     control-plane shards are a bounded constant plus O(1) per XenStore
 //     node, so bytes/domain must not grow more than 10% per decade
 //     (validate_obs --density re-checks this from the exported report).
+//   - Every sweep point reaches its target (or --max-guests): a point
+//     that stops short, say on a full disk, fails the bench. Memory and
+//     disk are sized to the target so neither binds first.
 //   - BlkBack's image allocator does flat work per create: the free gaps
 //     its first-fit visits per create must not grow more than 10% from
 //     one sweep point to the next (a walk over the live images would grow
@@ -43,6 +46,7 @@
 #include <vector>
 
 #include "bench/report.h"
+#include "src/base/bench_json.h"
 #include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/base/units.h"
@@ -65,6 +69,7 @@ struct Options {
 
 struct SweepPoint {
   int domains_target = 0;
+  int wanted = 0;  // the target, or --max-guests if smaller
   int created = 0;
   int shard_count = 1;
   double create_ops_per_sec = 0;
@@ -96,6 +101,7 @@ SweepPoint RunPoint(int target, int shards, int max_guests,
                     TraceSink* sink) {
   SweepPoint point;
   point.domains_target = target;
+  point.wanted = max_guests > 0 ? std::min(max_guests, target) : target;
   point.shard_count = shards;
 
   XoarPlatform::Config config;
@@ -105,6 +111,13 @@ SweepPoint RunPoint(int target, int shards, int max_guests,
   constexpr std::uint64_t kGuestDiskMb = 4;
   config.machine_memory_gb = 8 + (static_cast<std::uint64_t>(target) *
                                   kGuestMb * 2) / 1024;
+  // Likewise the disk: BlkBack keeps its first 64 MiB for metadata, then
+  // needs one image per guest. Only targets past the default capacity
+  // (~76,000 guests) grow it.
+  config.disk.capacity_bytes =
+      std::max(config.disk.capacity_bytes,
+               (64 + static_cast<std::uint64_t>(target) * kGuestDiskMb) *
+                   kMiB);
   config.xenstore_state_shards = shards;
   // Density runs pack control-plane ops, not console traffic.
   config.console_manager_enabled = false;
@@ -130,8 +143,7 @@ SweepPoint RunPoint(int target, int shards, int max_guests,
   const std::uint64_t scans_before = platform.hv().domain_table_scans();
   const std::uint64_t gaps_before = gaps_visited();
   const auto wall_start = std::chrono::steady_clock::now();
-  const int cap = max_guests > 0 ? std::min(max_guests, target) : target;
-  for (int i = 0; i < cap; ++i) {
+  for (int i = 0; i < point.wanted; ++i) {
     auto guest = platform.CreateGuest(
         GuestSpec{.name = StrFormat("vdi-%d", i),
                   .memory_mb = kGuestMb,
@@ -139,7 +151,7 @@ SweepPoint RunPoint(int target, int shards, int max_guests,
                   .tenant = StrFormat("tenant-%d", i % 64),
                   .disk_image_mb = kGuestDiskMb});
     if (!guest.ok()) {
-      std::fprintf(stderr, "create %d/%d failed: %s\n", i, cap,
+      std::fprintf(stderr, "create %d/%d failed: %s\n", i, point.wanted,
                    guest.status().ToString().c_str());
       break;
     }
@@ -170,8 +182,7 @@ SweepPoint RunPoint(int target, int shards, int max_guests,
 
 bool WriteReport(const std::string& path, const std::vector<SweepPoint>& sweep,
                  bool scan_free) {
-  // Same hand-authored shape as the lint report: the BENCH context +
-  // benchmarks skeleton plus one extra top-level array ("sweep") for the
+  // The BENCH skeleton plus one extra top-level array ("sweep") for the
   // trajectory itself.
   int max_domains = 0;
   int total_created = 0;
@@ -179,60 +190,32 @@ bool WriteReport(const std::string& path, const std::vector<SweepPoint>& sweep,
     max_domains = std::max(max_domains, p.created);
     total_created += p.created;
   }
-  std::string out;
-  out += "{\n";
-  out += "  \"context\": {\n";
-  out += "    \"executable\": \"ablation_density\",\n";
-  out += "    \"sim_time_ns\": 0\n";
-  out += "  },\n";
-  out += "  \"benchmarks\": [\n";
-  out += StrFormat(
-      "    {\"name\": \"density.sweep_points\", \"run_type\": \"gauge\", "
-      "\"value\": %zu},\n",
-      sweep.size());
-  out += StrFormat(
-      "    {\"name\": \"density.max_domains\", \"run_type\": \"gauge\", "
-      "\"value\": %d},\n",
-      max_domains);
-  out += StrFormat(
-      "    {\"name\": \"density.total_created\", \"run_type\": \"counter\", "
-      "\"value\": %d},\n",
-      total_created);
-  out += StrFormat(
-      "    {\"name\": \"density.scan_free_create_path\", \"run_type\": "
-      "\"gauge\", \"value\": %d},\n",
-      scan_free ? 1 : 0);
-  out += StrFormat(
-      "    {\"name\": \"xs.shard.count\", \"run_type\": \"gauge\", "
-      "\"value\": %d}\n",
-      sweep.empty() ? 1 : sweep.back().shard_count);
-  out += "  ],\n";
-  out += "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    out += StrFormat(
-        "    {\"domains\": %d, \"created\": %d, \"shard_count\": %d, "
+  BenchJson json("ablation_density", 0);
+  json.AddMetric("density.sweep_points", "gauge", sweep.size());
+  json.AddMetric("density.max_domains", "gauge", max_domains);
+  json.AddMetric("density.total_created", "counter", total_created);
+  json.AddMetric("density.scan_free_create_path", "gauge", scan_free ? 1 : 0);
+  json.AddMetric("xs.shard.count", "gauge",
+                 sweep.empty() ? 1 : sweep.back().shard_count);
+  json.BeginArray("sweep");
+  for (const SweepPoint& p : sweep) {
+    json.AddRow(StrFormat(
+        "{\"domains\": %d, \"created\": %d, \"shard_count\": %d, "
         "\"create_ops_per_sec\": %.3f, \"per_domain_control_bytes\": %.1f, "
         "\"create_path_scans\": %llu, \"first_fit_gaps_per_create\": %.3f, "
-        "\"xenstore_nodes\": %zu, \"control_plane_mb\": %llu}%s\n",
+        "\"xenstore_nodes\": %zu, \"control_plane_mb\": %llu}",
         p.domains_target, p.created, p.shard_count, p.create_ops_per_sec,
         p.per_domain_control_bytes,
         static_cast<unsigned long long>(p.create_path_scans),
         p.first_fit_gaps_per_create, p.xenstore_nodes,
-        static_cast<unsigned long long>(p.control_mb),
-        i + 1 == sweep.size() ? "" : ",");
+        static_cast<unsigned long long>(p.control_mb)));
   }
-  out += "  ]\n";
-  out += "}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+  const Status status = BenchJson::WriteFile(path, json.Finish());
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return false;
   }
-  const std::size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  return written == out.size();
+  return true;
 }
 
 int Run(const Options& options, TraceSink* sink) {
@@ -240,10 +223,16 @@ int Run(const Options& options, TraceSink* sink) {
 
   std::vector<SweepPoint> sweep;
   bool scan_free = true;
+  bool complete = true;
   for (int target : options.sweep) {
     const int shards =
         options.shards > 0 ? options.shards : AutoShards(target);
     SweepPoint point = RunPoint(target, shards, options.max_guests, sink);
+    if (point.created < point.wanted) {
+      std::fprintf(stderr, "FAIL: created %d of %d guests at %d domains\n",
+                   point.created, point.wanted, target);
+      complete = false;
+    }
     if (point.create_path_scans != 0) {
       std::fprintf(stderr,
                    "FAIL: %llu O(n) domain-table scans on the create path "
@@ -313,7 +302,7 @@ int Run(const Options& options, TraceSink* sink) {
       "per-guest tax — the\npaper's requirement that security must not "
       "'limit the density of VM hosting'\n(§1, §2.3.1), extended to cloud "
       "density by State sharding (SCALING.md).\n");
-  return (scan_free && flat) ? 0 : 1;
+  return (scan_free && flat && complete) ? 0 : 1;
 }
 
 std::string SweepToString(const std::vector<int>& sweep) {

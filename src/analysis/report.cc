@@ -7,34 +7,6 @@
 namespace xoar {
 namespace analysis {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 LintSummary Summarize(const std::vector<Finding>& findings,
                       std::size_t files_scanned) {
   LintSummary summary;
@@ -89,43 +61,28 @@ std::string FormatJson(const std::vector<Finding>& findings,
     }
   }
 
-  std::string out;
-  out += "{\n";
-  out += "  \"context\": {\n";
-  out += "    \"executable\": \"xoar_lint\",\n";
-  out += "    \"sim_time_ns\": 0\n";
-  out += "  },\n";
-  out += "  \"benchmarks\": [\n";
-  auto metric = [&out](const std::string& name, const char* run_type,
-                       std::size_t value, bool last) {
-    out += StrFormat(
-        "    {\"name\": \"%s\", \"run_type\": \"%s\", \"value\": %zu}%s\n",
-        name.c_str(), run_type, value, last ? "" : ",");
-  };
-  metric("lint.files_scanned", "gauge", summary.files_scanned, false);
+  BenchJson json("xoar_lint", 0);
+  json.AddMetric("lint.files_scanned", "gauge", summary.files_scanned);
   for (const auto& [rule, count] : per_rule) {
-    metric("lint.findings." + rule, "counter", count, false);
+    json.AddMetric("lint.findings." + rule, "counter", count);
   }
-  metric("lint.findings.total", "counter", summary.unsuppressed, false);
-  metric("lint.suppressed.total", "counter", summary.suppressed, false);
-  metric("lint.warnings.total", "counter", summary.warnings, true);
-  out += "  ],\n";
-  out += "  \"findings\": [\n";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    out += StrFormat(
-        "    {\"rule\": \"%s\", \"file\": \"%s\", \"line\": %d, "
-        "\"message\": \"%s\", \"suppressed\": %s, \"warning\": %s, "
-        "\"justification\": \"%s\"}%s\n",
-        JsonEscape(f.rule).c_str(), JsonEscape(f.file).c_str(), f.line,
-        JsonEscape(f.message).c_str(), f.suppressed ? "true" : "false",
-        f.warning ? "true" : "false",
-        JsonEscape(f.justification).c_str(),
-        i + 1 == findings.size() ? "" : ",");
+  json.AddMetric("lint.findings.total", "counter", summary.unsuppressed);
+  json.AddMetric("lint.suppressed.total", "counter", summary.suppressed);
+  json.AddMetric("lint.warnings.total", "counter", summary.warnings);
+  AddFindingsArray(findings, &json);
+  return json.Finish();
+}
+
+void AddFindingsArray(const std::vector<Finding>& findings, BenchJson* json) {
+  json->BeginArray("findings");
+  for (const Finding& f : findings) {
+    json->AddRow(StrFormat(
+        "{\"rule\": %s, \"file\": %s, \"line\": %d, \"message\": %s, "
+        "\"suppressed\": %s, \"warning\": %s, \"justification\": %s}",
+        JsonQuote(f.rule).c_str(), JsonQuote(f.file).c_str(), f.line,
+        JsonQuote(f.message).c_str(), f.suppressed ? "true" : "false",
+        f.warning ? "true" : "false", JsonQuote(f.justification).c_str()));
   }
-  out += "  ]\n";
-  out += "}\n";
-  return out;
 }
 
 }  // namespace analysis

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/analysis/rules.h"
+#include "src/base/bench_json.h"
 
 namespace xoar {
 namespace analysis {
@@ -52,8 +53,9 @@ std::string FormatText(const std::vector<Finding>& findings,
 std::string FormatJson(const std::vector<Finding>& findings,
                        const LintSummary& summary);
 
-// JSON string-escaping helper, shared with the flow report formatter.
-std::string JsonEscape(const std::string& s);
+// Appends the "findings" array (one object per finding, in order) to a
+// report; shared with the flow report formatter.
+void AddFindingsArray(const std::vector<Finding>& findings, BenchJson* json);
 
 }  // namespace analysis
 }  // namespace xoar

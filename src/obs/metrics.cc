@@ -1,8 +1,8 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "src/base/bench_json.h"
 #include "src/base/strings.h"
 
 namespace xoar {
@@ -185,34 +185,6 @@ MetricsSnapshot MetricRegistry::Snapshot(SimTime taken_at) const {
 
 namespace {
 
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out->append(StrFormat(
-              "\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c))));
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 std::string JsonNumber(double value) {
   // Integral values print without a fraction so counters stay integers.
   // Range-check before the int64 cast: casting a double outside int64
@@ -228,77 +200,43 @@ std::string JsonNumber(double value) {
 
 std::string MetricRegistry::ToJson(const MetricsSnapshot& snapshot,
                                    std::string_view binary_name) {
-  std::string out;
-  out.append("{\n  \"context\": {\n    \"executable\": ");
-  AppendJsonString(&out, binary_name);
-  out.append(StrFormat(",\n    \"sim_time_ns\": %llu\n  },\n",
-                       static_cast<unsigned long long>(snapshot.taken_at)));
-  out.append("  \"benchmarks\": [\n");
-  bool first = true;
-  auto separator = [&] {
-    if (!first) {
-      out.append(",\n");
-    }
-    first = false;
-  };
+  BenchJson json(binary_name, snapshot.taken_at);
   for (const auto& c : snapshot.counters) {
-    separator();
-    out.append("    {\"name\": ");
-    AppendJsonString(&out, c.name);
-    out.append(StrFormat(", \"run_type\": \"counter\", \"value\": %llu}",
-                         static_cast<unsigned long long>(c.value)));
+    json.AddMetric(c.name, "counter", c.value);
   }
   for (const auto& g : snapshot.gauges) {
-    separator();
-    out.append("    {\"name\": ");
-    AppendJsonString(&out, g.name);
-    out.append(", \"run_type\": \"gauge\", \"value\": ");
-    out.append(JsonNumber(g.value));
-    out.push_back('}');
+    json.AddMetricFields(g.name, "gauge", "\"value\": " + JsonNumber(g.value));
   }
   for (const auto& h : snapshot.histograms) {
-    separator();
-    out.append("    {\"name\": ");
-    AppendJsonString(&out, h.name);
-    out.append(StrFormat(", \"run_type\": \"histogram\", \"count\": %llu",
-                         static_cast<unsigned long long>(h.count)));
-    out.append(", \"sum\": ");
-    out.append(JsonNumber(h.sum));
-    out.append(", \"p50\": ");
-    out.append(JsonNumber(h.p50));
-    out.append(", \"p99\": ");
-    out.append(JsonNumber(h.p99));
-    out.append(", \"buckets\": [");
+    std::string fields = StrFormat("\"count\": %llu",
+                                   static_cast<unsigned long long>(h.count));
+    fields.append(", \"sum\": ");
+    fields.append(JsonNumber(h.sum));
+    fields.append(", \"p50\": ");
+    fields.append(JsonNumber(h.p50));
+    fields.append(", \"p99\": ");
+    fields.append(JsonNumber(h.p99));
+    fields.append(", \"buckets\": [");
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       if (i > 0) {
-        out.append(", ");
+        fields.append(", ");
       }
-      out.append("{\"le\": ");
-      out.append(i < h.bounds.size() ? JsonNumber(h.bounds[i])
-                                     : std::string("\"inf\""));
-      out.append(StrFormat(", \"count\": %llu}",
-                           static_cast<unsigned long long>(h.buckets[i])));
+      fields.append("{\"le\": ");
+      fields.append(i < h.bounds.size() ? JsonNumber(h.bounds[i])
+                                        : std::string("\"inf\""));
+      fields.append(StrFormat(", \"count\": %llu}",
+                              static_cast<unsigned long long>(h.buckets[i])));
     }
-    out.append("]}");
+    fields.push_back(']');
+    json.AddMetricFields(h.name, "histogram", fields);
   }
-  out.append("\n  ]\n}\n");
-  return out;
+  return json.Finish();
 }
 
 Status MetricRegistry::WriteJsonFile(const std::string& path,
                                      std::string_view binary_name,
                                      SimTime taken_at) const {
-  const std::string json = ToJson(Snapshot(taken_at), binary_name);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return InternalError(StrFormat("cannot open %s for writing", path.c_str()));
-  }
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return InternalError(StrFormat("short write to %s", path.c_str()));
-  }
-  return Status::Ok();
+  return BenchJson::WriteFile(path, ToJson(Snapshot(taken_at), binary_name));
 }
 
 }  // namespace xoar

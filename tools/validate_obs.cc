@@ -10,6 +10,11 @@
 //   validate_obs --replay <BENCH_replay.json>
 //   validate_obs --fleet <BENCH_fleet.json>
 //
+// Every mode first checks the generic BENCH shape, then its own rules. A
+// mode's single-metric bounds are rows of one MetricRule table, checked by
+// CheckRules; the checks that relate two metrics, or read an extra
+// top-level array, follow in code.
+//
 // The --fleet mode checks a fleet-resilience campaign report
 // (bench/fleet_campaign, RESILIENCE.md "Fleet") beyond the generic BENCH
 // shape: the fleet.* summary metrics must be present with sane values —
@@ -82,8 +87,13 @@
 // carry at least 5 distinct span categories. Exits non-zero with a message
 // on the first violation.
 #include <cstdio>
+#include <initializer_list>
+#include <limits>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "src/obs/json.h"
 
@@ -99,14 +109,8 @@ namespace {
     }                                     \
   } while (0)
 
-bool ValidateMetrics(const std::string& path) {
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  CHECK_OR_FAIL(doc->is_object(), "%s: top level is not an object",
-                path.c_str());
-
-  const JsonValue* context = doc->Find("context");
+bool ValidateMetrics(const std::string& path, const JsonValue& doc) {
+  const JsonValue* context = doc.Find("context");
   CHECK_OR_FAIL(context != nullptr && context->is_object(),
                 "%s: missing \"context\" object", path.c_str());
   const JsonValue* executable = context->Find("executable");
@@ -118,7 +122,7 @@ bool ValidateMetrics(const std::string& path) {
                 "%s: context.sim_time_ns missing or not a number",
                 path.c_str());
 
-  const JsonValue* benchmarks = doc->Find("benchmarks");
+  const JsonValue* benchmarks = doc.Find("benchmarks");
   CHECK_OR_FAIL(benchmarks != nullptr && benchmarks->is_array(),
                 "%s: missing \"benchmarks\" array", path.c_str());
   CHECK_OR_FAIL(!benchmarks->array().empty(),
@@ -145,13 +149,8 @@ bool ValidateMetrics(const std::string& path) {
   return true;
 }
 
-bool ValidateTrace(const std::string& path) {
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  CHECK_OR_FAIL(doc->is_object(), "%s: top level is not an object",
-                path.c_str());
-  const JsonValue* events = doc->Find("traceEvents");
+bool ValidateTrace(const std::string& path, const JsonValue& doc) {
+  const JsonValue* events = doc.Find("traceEvents");
   CHECK_OR_FAIL(events != nullptr && events->is_array(),
                 "%s: missing \"traceEvents\" array", path.c_str());
 
@@ -205,74 +204,89 @@ bool ValidateTrace(const std::string& path) {
   return true;
 }
 
-// One row of the campaign schema table: a metric that must be present,
-// with bounds on its value. max < 0 means unbounded above.
-struct CampaignRule {
+// The numeric "value" of the first "benchmarks" entry named `name`;
+// nothing if there is no such entry or its value is not a number.
+std::optional<double> FindMetric(const JsonValue& benchmarks,
+                                 std::string_view name) {
+  for (const JsonValue& entry : benchmarks.array()) {
+    const JsonValue* n = entry.Find("name");
+    if (n != nullptr && n->is_string() && n->string() == name) {
+      const JsonValue* value = entry.Find("value");
+      if (value == nullptr || !value->is_number()) {
+        return std::nullopt;
+      }
+      return value->number();
+    }
+  }
+  return std::nullopt;
+}
+
+// FindMetric for the cross-field checks, which run after the rule table
+// has proved each metric they read present.
+double MetricValue(const JsonValue& benchmarks, std::string_view name) {
+  return FindMetric(benchmarks, name).value_or(0);
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// One row of a mode's schema table: a metric that must be present with a
+// numeric value in [min, max], or in (min, max] when `above` is set.
+// Omitted bounds leave the value unbounded on that side.
+struct MetricRule {
   const char* name;
-  double min;
-  double max;
+  double min = -kInf;
+  double max = kInf;
+  bool above = false;
 };
 
-constexpr CampaignRule kCampaignRules[] = {
+bool CheckRules(const std::string& path, const JsonValue& benchmarks,
+                std::span<const MetricRule> rules) {
+  for (const MetricRule& rule : rules) {
+    const std::optional<double> value = FindMetric(benchmarks, rule.name);
+    CHECK_OR_FAIL(value.has_value(), "%s: missing metric \"%s\"",
+                  path.c_str(), rule.name);
+    CHECK_OR_FAIL(rule.above ? *value > rule.min : *value >= rule.min,
+                  "%s: %s = %g %s %g", path.c_str(), rule.name, *value,
+                  rule.above ? "not above" : "below minimum", rule.min);
+    CHECK_OR_FAIL(*value <= rule.max, "%s: %s = %g above maximum %g",
+                  path.c_str(), rule.name, *value, rule.max);
+  }
+  return true;
+}
+
+constexpr MetricRule kCampaignRules[] = {
     {"campaign.availability", 0.0, 1.0},
     {"campaign.invariant_violations", 0.0, 0.0},
-    {"campaign.faults_injected", 1.0, -1.0},
-    {"campaign.absorbed_by_retry", 1.0, -1.0},
-    {"campaign.mean_recovery_ms", 0.0, -1.0},
-    {"campaign.probes_issued", 1.0, -1.0},
+    {"campaign.faults_injected", 1.0},
+    {"campaign.absorbed_by_retry", 1.0},
+    {"campaign.mean_recovery_ms", 0.0},
+    {"campaign.probes_issued", 1.0},
     // Supervision summary (watchdog + recovery-box validation). Counts can
     // legitimately be zero for a campaign that injects no hangs/corruption,
     // but the fields themselves must always be exported.
-    {"campaign.hangs_injected", 0.0, -1.0},
-    {"campaign.box_corrupts_injected", 0.0, -1.0},
-    {"campaign.boxes_rejected", 0.0, -1.0},
-    {"campaign.heartbeat_timeout_ms", 0.0, -1.0},
-    {"campaign.hang_detection_max_ms", 0.0, -1.0},
-    {"campaign.watchdog_hangs_detected", 0.0, -1.0},
-    {"campaign.watchdog_hangs_absorbed", 0.0, -1.0},
-    {"campaign.watchdog_deaths_detected", 0.0, -1.0},
-    {"campaign.watchdog_auto_restarts", 0.0, -1.0},
-    {"campaign.watchdog_quarantines", 0.0, -1.0},
+    {"campaign.hangs_injected", 0.0},
+    {"campaign.box_corrupts_injected", 0.0},
+    {"campaign.boxes_rejected", 0.0},
+    {"campaign.heartbeat_timeout_ms", 0.0},
+    {"campaign.hang_detection_max_ms", 0.0},
+    {"campaign.watchdog_hangs_detected", 0.0},
+    {"campaign.watchdog_hangs_absorbed", 0.0},
+    {"campaign.watchdog_deaths_detected", 0.0},
+    {"campaign.watchdog_auto_restarts", 0.0},
+    {"campaign.watchdog_quarantines", 0.0},
 };
 
-bool ValidateCampaign(const std::string& path) {
-  // The report must be a well-formed BENCH export first.
-  if (!ValidateMetrics(path)) {
+bool ValidateCampaign(const std::string& path, const JsonValue& doc) {
+  const JsonValue& benchmarks = *doc.Find("benchmarks");
+  if (!CheckRules(path, benchmarks, kCampaignRules)) {
     return false;
-  }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto find_value = [&](const std::string& name) -> const JsonValue* {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n != nullptr && n->is_string() && n->string() == name) {
-        return entry.Find("value");
-      }
-    }
-    return nullptr;
-  };
-
-  for (const CampaignRule& rule : kCampaignRules) {
-    const JsonValue* value = find_value(rule.name);
-    CHECK_OR_FAIL(value != nullptr && value->is_number(),
-                  "%s: missing campaign metric \"%s\"", path.c_str(),
-                  rule.name);
-    CHECK_OR_FAIL(value->number() >= rule.min,
-                  "%s: %s = %g below minimum %g", path.c_str(), rule.name,
-                  value->number(), rule.min);
-    CHECK_OR_FAIL(rule.max < 0 || value->number() <= rule.max,
-                  "%s: %s = %g above maximum %g", path.c_str(), rule.name,
-                  value->number(), rule.max);
   }
 
   // At least one per-type injection counter must have fired, or the
   // campaign exercised nothing.
   double injected = 0;
   std::size_t injected_counters = 0;
-  for (const JsonValue& entry : benchmarks->array()) {
+  for (const JsonValue& entry : benchmarks.array()) {
     const JsonValue* n = entry.Find("name");
     if (n == nullptr || !n->is_string() ||
         n->string().rfind("fault.injected.", 0) != 0) {
@@ -292,40 +306,29 @@ bool ValidateCampaign(const std::string& path) {
 
   // Cross-field supervision invariants. Single-field bounds live in
   // kCampaignRules; these relate two exported values.
-  auto number_of = [&](const char* name) {
-    const JsonValue* value = find_value(name);
-    return value != nullptr && value->is_number() ? value->number() : 0.0;
-  };
-  const double hangs_injected = number_of("campaign.hangs_injected");
-  const double hangs_handled =
-      number_of("campaign.watchdog_hangs_detected") +
-      number_of("campaign.watchdog_hangs_absorbed");
+  auto value = [&](const char* name) { return MetricValue(benchmarks, name); };
+  const double hangs_injected = value("campaign.hangs_injected");
+  const double hangs_handled = value("campaign.watchdog_hangs_detected") +
+                               value("campaign.watchdog_hangs_absorbed");
   CHECK_OR_FAIL(hangs_handled == hangs_injected,
                 "%s: %g hangs injected but %g detected+absorbed",
                 path.c_str(), hangs_injected, hangs_handled);
-  CHECK_OR_FAIL(number_of("campaign.hang_detection_max_ms") <=
-                    number_of("campaign.heartbeat_timeout_ms"),
+  CHECK_OR_FAIL(value("campaign.hang_detection_max_ms") <=
+                    value("campaign.heartbeat_timeout_ms"),
                 "%s: hang detection latency %g ms exceeds heartbeat "
                 "timeout %g ms",
-                path.c_str(), number_of("campaign.hang_detection_max_ms"),
-                number_of("campaign.heartbeat_timeout_ms"));
-  CHECK_OR_FAIL(number_of("campaign.boxes_rejected") ==
-                    number_of("campaign.box_corrupts_injected"),
+                path.c_str(), value("campaign.hang_detection_max_ms"),
+                value("campaign.heartbeat_timeout_ms"));
+  CHECK_OR_FAIL(value("campaign.boxes_rejected") ==
+                    value("campaign.box_corrupts_injected"),
                 "%s: %g recovery boxes corrupted but %g rejected",
-                path.c_str(), number_of("campaign.box_corrupts_injected"),
-                number_of("campaign.boxes_rejected"));
+                path.c_str(), value("campaign.box_corrupts_injected"),
+                value("campaign.boxes_rejected"));
 
   std::printf("%s: campaign OK (%zu fault types tracked, %g injections)\n",
               path.c_str(), injected_counters, injected);
   return true;
 }
-
-// One row of the sim-core schema table, same shape as CampaignRule.
-struct SimRule {
-  const char* name;
-  double min;
-  double max;
-};
 
 // Wall-clock throughput gauges and speedup ratios vary with the host and
 // with iteration count (the smoke test runs tiny workloads), so they are
@@ -336,105 +339,48 @@ struct SimRule {
 // request on the backend alone (plus frontend timers and delivery hops);
 // the drain-batched path must stay under 12 total events per request even
 // with a 16-deep pipeline of 4 KiB writes.
-constexpr SimRule kSimRules[] = {
-    {"sim_core.schedule_fire.events_per_sec", 0.0, -1.0},
-    {"sim_core.schedule_fire.baseline_events_per_sec", 0.0, -1.0},
-    {"sim_core.schedule_fire.speedup", 0.0, -1.0},
-    {"sim_core.schedule_cancel.ops_per_sec", 0.0, -1.0},
-    {"sim_core.schedule_cancel.baseline_ops_per_sec", 0.0, -1.0},
-    {"sim_core.schedule_cancel.speedup", 0.0, -1.0},
-    {"sim_core.timer_churn.ops_per_sec", 0.0, -1.0},
-    {"sim_core.timer_churn.baseline_ops_per_sec", 0.0, -1.0},
-    {"sim_core.timer_churn.speedup", 0.0, -1.0},
-    {"sim_core.ring_drain.requests_per_sec", 0.0, -1.0},
-    {"sim_core.ring_drain.sim_events_per_request", 0.0, 12.0},
+constexpr MetricRule kSimRules[] = {
+    {"sim_core.schedule_fire.events_per_sec", 0.0, kInf, true},
+    {"sim_core.schedule_fire.baseline_events_per_sec", 0.0, kInf, true},
+    {"sim_core.schedule_fire.speedup", 0.0, kInf, true},
+    {"sim_core.schedule_cancel.ops_per_sec", 0.0, kInf, true},
+    {"sim_core.schedule_cancel.baseline_ops_per_sec", 0.0, kInf, true},
+    {"sim_core.schedule_cancel.speedup", 0.0, kInf, true},
+    {"sim_core.timer_churn.ops_per_sec", 0.0, kInf, true},
+    {"sim_core.timer_churn.baseline_ops_per_sec", 0.0, kInf, true},
+    {"sim_core.timer_churn.speedup", 0.0, kInf, true},
+    {"sim_core.ring_drain.requests_per_sec", 0.0, kInf, true},
+    {"sim_core.ring_drain.sim_events_per_request", 0.0, 12.0, true},
 };
 
-bool ValidateSimCore(const std::string& path) {
-  // The report must be a well-formed BENCH export first.
-  if (!ValidateMetrics(path)) {
+bool ValidateSimCore(const std::string& path, const JsonValue& doc) {
+  if (!CheckRules(path, *doc.Find("benchmarks"), kSimRules)) {
     return false;
   }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto find_value = [&](const std::string& name) -> const JsonValue* {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n != nullptr && n->is_string() && n->string() == name) {
-        return entry.Find("value");
-      }
-    }
-    return nullptr;
-  };
-
-  for (const SimRule& rule : kSimRules) {
-    const JsonValue* value = find_value(rule.name);
-    CHECK_OR_FAIL(value != nullptr && value->is_number(),
-                  "%s: missing sim-core metric \"%s\"", path.c_str(),
-                  rule.name);
-    CHECK_OR_FAIL(value->number() > rule.min,
-                  "%s: %s = %g not above %g", path.c_str(), rule.name,
-                  value->number(), rule.min);
-    CHECK_OR_FAIL(rule.max < 0 || value->number() <= rule.max,
-                  "%s: %s = %g above maximum %g", path.c_str(), rule.name,
-                  value->number(), rule.max);
-  }
-
   std::printf("%s: sim-core OK (%zu gauges checked)\n", path.c_str(),
               std::size(kSimRules));
   return true;
 }
 
-bool ValidateDensity(const std::string& path) {
-  // The report must be a well-formed BENCH export first.
-  if (!ValidateMetrics(path)) {
+constexpr MetricRule kDensityRules[] = {
+    {"density.sweep_points", 1.0},
+    {"density.max_domains", 1.0},
+    {"density.total_created", 1.0},
+    {"xs.shard.count", 1.0},
+    // 1 when the create path performed no O(n) domain-table scans.
+    {"density.scan_free_create_path", 1.0, 1.0},
+};
+
+bool ValidateDensity(const std::string& path, const JsonValue& doc) {
+  if (!CheckRules(path, *doc.Find("benchmarks"), kDensityRules)) {
     return false;
   }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
 
-  auto find_value = [&](const std::string& name) -> const JsonValue* {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n != nullptr && n->is_string() && n->string() == name) {
-        return entry.Find("value");
-      }
-    }
-    return nullptr;
-  };
-  auto require = [&](const char* name, double min) -> bool {
-    const JsonValue* value = find_value(name);
-    if (value == nullptr || !value->is_number() || value->number() < min) {
-      std::fprintf(stderr, "%s: missing density metric \"%s\" (>= %g)\n",
-                   path.c_str(), name, min);
-      return false;
-    }
-    return true;
-  };
-  if (!require("density.sweep_points", 1) ||
-      !require("density.max_domains", 1) ||
-      !require("density.total_created", 1) ||
-      !require("xs.shard.count", 1)) {
-    return false;
-  }
-  const JsonValue* scan_free = find_value("density.scan_free_create_path");
-  CHECK_OR_FAIL(scan_free != nullptr && scan_free->is_number() &&
-                    scan_free->number() == 1,
-                "%s: create path performed O(n) domain-table scans "
-                "(density.scan_free_create_path != 1)",
-                path.c_str());
-
-  const JsonValue* sweep = doc->Find("sweep");
+  const JsonValue* sweep = doc.Find("sweep");
   CHECK_OR_FAIL(sweep != nullptr && sweep->is_array(),
                 "%s: missing \"sweep\" array", path.c_str());
   CHECK_OR_FAIL(!sweep->array().empty(), "%s: \"sweep\" array is empty",
                 path.c_str());
-
   double prev_domains = 0;
   double prev_bytes = -1;
   double prev_gaps = -1;
@@ -497,183 +443,108 @@ bool ValidateDensity(const std::string& path) {
   return true;
 }
 
-// One row of the replay-selftest schema table, same shape as CampaignRule.
-struct ReplayRule {
-  const char* name;
-  double min;
-  double max;
-};
 
-constexpr ReplayRule kReplayRules[] = {
-    {"replay.seed", 0.0, -1.0},
-    {"replay.records", 1.0, -1.0},
-    {"replay.journal_bytes", 1.0, -1.0},
+constexpr MetricRule kReplayRules[] = {
+    {"replay.seed", 0.0},
+    {"replay.records", 1.0},
+    {"replay.journal_bytes", 1.0},
     // Hard invariants of a passing selftest: the chain verified, the
     // replay matched everything, the diff and the planted perturbation
     // were both caught.
     {"replay.chain_verified", 1.0, 1.0},
     {"replay.replay_divergences", 0.0, 0.0},
-    {"replay.replay_verified", 1.0, -1.0},
-    {"replay.diff_seed_b", 0.0, -1.0},
+    {"replay.replay_verified", 1.0},
+    {"replay.diff_seed_b", 0.0},
     {"replay.diff_diverged", 1.0, 1.0},
-    {"replay.diff_index", 0.0, -1.0},
-    {"replay.perturb_index", 0.0, -1.0},
+    {"replay.diff_index", 0.0},
+    {"replay.perturb_index", 0.0},
     {"replay.perturb_caught", 1.0, 1.0},
-    {"replay.perturb_caught_index", 0.0, -1.0},
+    {"replay.perturb_caught_index", 0.0},
 };
 
-bool ValidateReplay(const std::string& path) {
-  // The report must be a well-formed BENCH export first.
-  if (!ValidateMetrics(path)) {
+bool ValidateReplay(const std::string& path, const JsonValue& doc) {
+  const JsonValue& benchmarks = *doc.Find("benchmarks");
+  if (!CheckRules(path, benchmarks, kReplayRules)) {
     return false;
-  }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto find_value = [&](const std::string& name) -> const JsonValue* {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n != nullptr && n->is_string() && n->string() == name) {
-        return entry.Find("value");
-      }
-    }
-    return nullptr;
-  };
-
-  for (const ReplayRule& rule : kReplayRules) {
-    const JsonValue* value = find_value(rule.name);
-    CHECK_OR_FAIL(value != nullptr && value->is_number(),
-                  "%s: missing replay metric \"%s\"", path.c_str(),
-                  rule.name);
-    CHECK_OR_FAIL(value->number() >= rule.min,
-                  "%s: %s = %g below minimum %g", path.c_str(), rule.name,
-                  value->number(), rule.min);
-    CHECK_OR_FAIL(rule.max < 0 || value->number() <= rule.max,
-                  "%s: %s = %g above maximum %g", path.c_str(), rule.name,
-                  value->number(), rule.max);
   }
 
   // Cross-field invariants: the replay verified the whole journal, the
   // perturbation was caught exactly where it was planted, and the diff
   // divergence lies inside the journal.
-  auto number_of = [&](const char* name) {
-    const JsonValue* value = find_value(name);
-    return value != nullptr && value->is_number() ? value->number() : 0.0;
-  };
-  CHECK_OR_FAIL(number_of("replay.replay_verified") ==
-                    number_of("replay.records"),
+  auto value = [&](const char* name) { return MetricValue(benchmarks, name); };
+  CHECK_OR_FAIL(value("replay.replay_verified") == value("replay.records"),
                 "%s: replay verified %g of %g journaled events",
-                path.c_str(), number_of("replay.replay_verified"),
-                number_of("replay.records"));
-  CHECK_OR_FAIL(number_of("replay.perturb_caught_index") ==
-                    number_of("replay.perturb_index"),
+                path.c_str(), value("replay.replay_verified"),
+                value("replay.records"));
+  CHECK_OR_FAIL(value("replay.perturb_caught_index") ==
+                    value("replay.perturb_index"),
                 "%s: perturbation planted at %g but caught at %g",
-                path.c_str(), number_of("replay.perturb_index"),
-                number_of("replay.perturb_caught_index"));
-  CHECK_OR_FAIL(number_of("replay.diff_index") <=
-                    number_of("replay.records"),
+                path.c_str(), value("replay.perturb_index"),
+                value("replay.perturb_caught_index"));
+  CHECK_OR_FAIL(value("replay.diff_index") <= value("replay.records"),
                 "%s: diff divergence index %g past journal end %g",
-                path.c_str(), number_of("replay.diff_index"),
-                number_of("replay.records"));
+                path.c_str(), value("replay.diff_index"),
+                value("replay.records"));
 
   std::printf("%s: replay OK (%g records, chain verified, perturbation "
               "caught at %g)\n",
-              path.c_str(), number_of("replay.records"),
-              number_of("replay.perturb_caught_index"));
+              path.c_str(), value("replay.records"),
+              value("replay.perturb_caught_index"));
   return true;
 }
 
-// One row of the fleet schema table, same shape as CampaignRule.
-struct FleetRule {
-  const char* name;
-  double min;
-  double max;
-};
-
-constexpr FleetRule kFleetRules[] = {
-    {"fleet.seed", 0.0, -1.0},
-    {"fleet.hosts", 2.0, -1.0},
-    {"fleet.guests_placed", 1.0, -1.0},
+constexpr MetricRule kFleetRules[] = {
+    {"fleet.seed", 0.0},
+    {"fleet.hosts", 2.0},
+    {"fleet.guests_placed", 1.0},
     {"fleet.invariant_violations", 0.0, 0.0},
-    {"fleet.admission.accepted", 1.0, -1.0},
-    {"fleet.admission.shed", 1.0, -1.0},  // the whale probe must shed
-    {"fleet.migrations.attempted", 1.0, -1.0},
-    {"fleet.migrations.completed", 1.0, -1.0},
-    {"fleet.evacuations.started", 1.0, -1.0},
-    {"fleet.evac.moved", 1.0, -1.0},
+    {"fleet.admission.accepted", 1.0},
+    {"fleet.admission.shed", 1.0},  // the whale probe must shed
+    {"fleet.migrations.attempted", 1.0},
+    {"fleet.migrations.completed", 1.0},
+    {"fleet.evacuations.started", 1.0},
+    {"fleet.evac.moved", 1.0},
     {"fleet.evac.failed", 0.0, 0.0},
-    {"fleet.faults.migration_stream_drops", 1.0, -1.0},
+    {"fleet.faults.migration_stream_drops", 1.0},
     {"fleet.controller.supervised", 1.0, 1.0},
-    {"fleet.workload.p99_ms", 0.001, -1.0},
-    {"fleet.workload.p999_ms", 0.001, -1.0},
-    {"fleet.wave.clean.steps", 1.0, -1.0},
+    {"fleet.workload.p99_ms", 0.001},
+    {"fleet.workload.p999_ms", 0.001},
+    {"fleet.wave.clean.steps", 1.0},
     {"fleet.wave.clean.aborted", 0.0, 0.0},
     {"fleet.wave.storm.aborted", 1.0, 1.0},
     {"fleet.wave.storm.converged", 1.0, 1.0},
-    {"fleet.rebalance.spread_before", 0.0, -1.0},
-    {"fleet.rebalance.spread_after", 0.0, -1.0},
+    {"fleet.rebalance.spread_before", 0.0},
+    {"fleet.rebalance.spread_after", 0.0},
 };
 
-bool ValidateFleet(const std::string& path) {
-  // The report must be a well-formed BENCH export first.
-  if (!ValidateMetrics(path)) {
+bool ValidateFleet(const std::string& path, const JsonValue& doc) {
+  const JsonValue& benchmarks = *doc.Find("benchmarks");
+  if (!CheckRules(path, benchmarks, kFleetRules)) {
     return false;
   }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto find_value = [&](const std::string& name) -> const JsonValue* {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n != nullptr && n->is_string() && n->string() == name) {
-        return entry.Find("value");
-      }
-    }
-    return nullptr;
-  };
-
-  for (const FleetRule& rule : kFleetRules) {
-    const JsonValue* value = find_value(rule.name);
-    CHECK_OR_FAIL(value != nullptr && value->is_number(),
-                  "%s: missing fleet metric \"%s\"", path.c_str(), rule.name);
-    CHECK_OR_FAIL(value->number() >= rule.min,
-                  "%s: %s = %g below minimum %g", path.c_str(), rule.name,
-                  value->number(), rule.min);
-    CHECK_OR_FAIL(rule.max < 0 || value->number() <= rule.max,
-                  "%s: %s = %g above maximum %g", path.c_str(), rule.name,
-                  value->number(), rule.max);
-  }
-
-  auto number_of = [&](const char* name) {
-    const JsonValue* value = find_value(name);
-    return value != nullptr && value->is_number() ? value->number() : 0.0;
-  };
 
   // Cross-field scenario invariants.
-  CHECK_OR_FAIL(number_of("fleet.rebalance.spread_after") <=
-                    number_of("fleet.rebalance.spread_before"),
+  auto value = [&](const char* name) { return MetricValue(benchmarks, name); };
+  CHECK_OR_FAIL(value("fleet.rebalance.spread_after") <=
+                    value("fleet.rebalance.spread_before"),
                 "%s: rebalance widened the spread (%g -> %g)", path.c_str(),
-                number_of("fleet.rebalance.spread_before"),
-                number_of("fleet.rebalance.spread_after"));
-  CHECK_OR_FAIL(number_of("fleet.workload.p999_ms") >=
-                    number_of("fleet.workload.p99_ms"),
+                value("fleet.rebalance.spread_before"),
+                value("fleet.rebalance.spread_after"));
+  CHECK_OR_FAIL(value("fleet.workload.p999_ms") >=
+                    value("fleet.workload.p99_ms"),
                 "%s: p999 %g ms below p99 %g ms", path.c_str(),
-                number_of("fleet.workload.p999_ms"),
-                number_of("fleet.workload.p99_ms"));
-  CHECK_OR_FAIL(number_of("fleet.migrations.completed") <=
-                    number_of("fleet.migrations.attempted"),
+                value("fleet.workload.p999_ms"),
+                value("fleet.workload.p99_ms"));
+  CHECK_OR_FAIL(value("fleet.migrations.completed") <=
+                    value("fleet.migrations.attempted"),
                 "%s: %g migrations completed but only %g attempted",
-                path.c_str(), number_of("fleet.migrations.completed"),
-                number_of("fleet.migrations.attempted"));
+                path.c_str(), value("fleet.migrations.completed"),
+                value("fleet.migrations.attempted"));
 
   // Per-step wave health gauges: the waves must have exported at least one
   // per-step p99 reading each.
   std::size_t wave_step_gauges = 0;
-  for (const JsonValue& entry : benchmarks->array()) {
+  for (const JsonValue& entry : benchmarks.array()) {
     const JsonValue* n = entry.Find("name");
     if (n != nullptr && n->is_string() &&
         n->string().rfind("fleet.wave.", 0) == 0 &&
@@ -687,9 +558,9 @@ bool ValidateFleet(const std::string& path) {
 
   std::printf("%s: fleet OK (%g hosts, %g guests, %g migrations, %zu "
               "wave-step gauges)\n",
-              path.c_str(), number_of("fleet.hosts"),
-              number_of("fleet.guests_placed"),
-              number_of("fleet.migrations.completed"), wave_step_gauges);
+              path.c_str(), value("fleet.hosts"),
+              value("fleet.guests_placed"),
+              value("fleet.migrations.completed"), wave_step_gauges);
   return true;
 }
 
@@ -697,40 +568,18 @@ bool ValidateFleet(const std::string& path) {
 // entry must be well-formed, suppressed findings must carry a
 // justification, and the blocking/suppressed/warning counts must agree
 // with the exported `<prefix>.findings.total` / `.suppressed.total` /
-// `.warnings.total` metrics. The "warning" bool is optional per finding
+// `.warnings.total` metrics (whose presence the mode's rule table checks). The "warning" bool is optional per finding
 // (absent means blocking), so older reports stay valid.
 bool ValidateFindingsArray(const std::string& path, const JsonValue& doc,
-                           const JsonValue* benchmarks,
                            const std::string& prefix, std::size_t* blocking,
                            std::size_t* suppressed_out) {
-  auto number_of = [&](const std::string& name, double* out) -> bool {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n == nullptr || !n->is_string() || n->string() != name) {
-        continue;
-      }
-      const JsonValue* value = entry.Find("value");
-      if (value == nullptr || !value->is_number()) {
-        return false;
-      }
-      *out = value->number();
-      return true;
-    }
-    return false;
-  };
-
-  double findings_total = 0;
-  double suppressed_total = 0;
-  double warnings_total = 0;
-  CHECK_OR_FAIL(number_of(prefix + ".findings.total", &findings_total),
-                "%s: missing %s.findings.total counter", path.c_str(),
-                prefix.c_str());
-  CHECK_OR_FAIL(number_of(prefix + ".suppressed.total", &suppressed_total),
-                "%s: missing %s.suppressed.total counter", path.c_str(),
-                prefix.c_str());
-  CHECK_OR_FAIL(number_of(prefix + ".warnings.total", &warnings_total),
-                "%s: missing %s.warnings.total counter", path.c_str(),
-                prefix.c_str());
+  const JsonValue& benchmarks = *doc.Find("benchmarks");
+  const double findings_total =
+      MetricValue(benchmarks, prefix + ".findings.total");
+  const double suppressed_total =
+      MetricValue(benchmarks, prefix + ".suppressed.total");
+  const double warnings_total =
+      MetricValue(benchmarks, prefix + ".warnings.total");
 
   const JsonValue* findings = doc.Find("findings");
   CHECK_OR_FAIL(findings != nullptr && findings->is_array(),
@@ -795,126 +644,72 @@ bool ValidateFindingsArray(const std::string& path, const JsonValue& doc,
   return true;
 }
 
-bool ValidateLint(const std::string& path) {
-  // The report must be a well-formed BENCH export first (context +
-  // benchmarks with known run_types).
-  if (!ValidateMetrics(path)) {
+constexpr MetricRule kLintRules[] = {
+    {"lint.files_scanned", 0.0, kInf, true},  // the scan saw sources
+    {"lint.findings.total"},
+    {"lint.suppressed.total"},
+    {"lint.warnings.total"},
+};
+
+bool ValidateLint(const std::string& path, const JsonValue& doc) {
+  if (!CheckRules(path, *doc.Find("benchmarks"), kLintRules)) {
     return false;
   }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto number_of = [&](const std::string& name,
-                       double* out) -> bool {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n == nullptr || !n->is_string() || n->string() != name) {
-        continue;
-      }
-      const JsonValue* value = entry.Find("value");
-      if (value == nullptr || !value->is_number()) {
-        return false;
-      }
-      *out = value->number();
-      return true;
-    }
-    return false;
-  };
-
-  double files_scanned = 0;
-  CHECK_OR_FAIL(number_of("lint.files_scanned", &files_scanned),
-                "%s: missing lint.files_scanned gauge", path.c_str());
-  CHECK_OR_FAIL(files_scanned > 0,
-                "%s: lint.files_scanned is zero — the scan saw no sources",
-                path.c_str());
   std::size_t unsuppressed = 0;
   std::size_t suppressed = 0;
-  if (!ValidateFindingsArray(path, *doc, benchmarks, "lint", &unsuppressed,
-                             &suppressed)) {
+  if (!ValidateFindingsArray(path, doc, "lint", &unsuppressed, &suppressed)) {
     return false;
   }
 
   std::printf("%s: lint OK (%g files, %zu blocking, %zu suppressed)\n",
-              path.c_str(), files_scanned, unsuppressed, suppressed);
+              path.c_str(),
+              MetricValue(*doc.Find("benchmarks"), "lint.files_scanned"),
+              unsuppressed, suppressed);
   return true;
 }
 
-bool ValidateFlow(const std::string& path) {
-  if (!ValidateMetrics(path)) {
+constexpr MetricRule kFlowRules[] = {
+    {"flow.files_scanned", 0.0, kInf, true},  // the scan saw sources
+    {"flow.functions", 0.0, kInf, true},      // definitions were recognized
+    {"flow.call_edges"},
+    {"flow.widened_functions"},
+    {"flow.findings.total"},
+    {"flow.suppressed.total"},
+    {"flow.warnings.total"},
+    // Side-by-side containment: both recomputations must be exported.
+    {"flow.containment.declared.nodes"},
+    {"flow.containment.declared.edges"},
+    {"flow.containment.declared.attack_surface"},
+    {"flow.containment.declared.max_reach"},
+    {"flow.containment.declared.mean_reach_milli"},
+    {"flow.containment.derived.nodes"},
+    {"flow.containment.derived.edges"},
+    {"flow.containment.derived.attack_surface"},
+    {"flow.containment.derived.max_reach"},
+    {"flow.containment.derived.mean_reach_milli"},
+};
+
+bool ValidateFlow(const std::string& path, const JsonValue& doc) {
+  const JsonValue& benchmarks = *doc.Find("benchmarks");
+  if (!CheckRules(path, benchmarks, kFlowRules)) {
     return false;
-  }
-  StatusOr<JsonValue> doc = ParseJsonFile(path);
-  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
-                doc.status().ToString().c_str());
-  const JsonValue* benchmarks = doc->Find("benchmarks");
-
-  auto find_number = [&](const std::string& name, double* out) -> bool {
-    for (const JsonValue& entry : benchmarks->array()) {
-      const JsonValue* n = entry.Find("name");
-      if (n == nullptr || !n->is_string() || n->string() != name) {
-        continue;
-      }
-      const JsonValue* value = entry.Find("value");
-      if (value == nullptr || !value->is_number()) {
-        return false;
-      }
-      *out = value->number();
-      return true;
-    }
-    return false;
-  };
-
-  double files_scanned = 0;
-  double functions = 0;
-  double call_edges = 0;
-  double widened = 0;
-  CHECK_OR_FAIL(find_number("flow.files_scanned", &files_scanned),
-                "%s: missing flow.files_scanned gauge", path.c_str());
-  CHECK_OR_FAIL(files_scanned > 0,
-                "%s: flow.files_scanned is zero — the scan saw no sources",
-                path.c_str());
-  CHECK_OR_FAIL(find_number("flow.functions", &functions),
-                "%s: missing flow.functions gauge", path.c_str());
-  CHECK_OR_FAIL(functions > 0,
-                "%s: flow.functions is zero — no definitions recognized",
-                path.c_str());
-  CHECK_OR_FAIL(find_number("flow.call_edges", &call_edges),
-                "%s: missing flow.call_edges gauge", path.c_str());
-  CHECK_OR_FAIL(find_number("flow.widened_functions", &widened),
-                "%s: missing flow.widened_functions gauge", path.c_str());
-
-  // Side-by-side containment: both recomputations must be exported.
-  for (const char* label : {"declared", "derived"}) {
-    for (const char* field :
-         {"nodes", "edges", "attack_surface", "max_reach",
-          "mean_reach_milli"}) {
-      const std::string name =
-          std::string("flow.containment.") + label + "." + field;
-      double value = 0;
-      CHECK_OR_FAIL(find_number(name, &value), "%s: missing %s gauge",
-                    path.c_str(), name.c_str());
-    }
   }
 
   // The bench timing gauge is optional (only bench/micro_lint writes it),
   // but when present it must be a real measurement.
-  double full_tree_us = 0;
-  if (find_number("lint_cost.full_tree_us", &full_tree_us)) {
-    CHECK_OR_FAIL(full_tree_us > 0,
-                  "%s: lint_cost.full_tree_us present but not positive",
-                  path.c_str());
-  }
+  const std::optional<double> full_tree_us =
+      FindMetric(benchmarks, "lint_cost.full_tree_us");
+  CHECK_OR_FAIL(!full_tree_us.has_value() || *full_tree_us > 0,
+                "%s: lint_cost.full_tree_us present but not positive",
+                path.c_str());
 
   std::size_t unsuppressed = 0;
   std::size_t suppressed = 0;
-  if (!ValidateFindingsArray(path, *doc, benchmarks, "flow", &unsuppressed,
-                             &suppressed)) {
+  if (!ValidateFindingsArray(path, doc, "flow", &unsuppressed, &suppressed)) {
     return false;
   }
 
-  const JsonValue* comm = doc->Find("comm_graph");
+  const JsonValue* comm = doc.Find("comm_graph");
   CHECK_OR_FAIL(comm != nullptr && comm->is_array(),
                 "%s: missing \"comm_graph\" array", path.c_str());
   for (const JsonValue& edge : comm->array()) {
@@ -935,55 +730,71 @@ bool ValidateFlow(const std::string& path) {
   std::printf(
       "%s: flow OK (%g files, %g functions, %g edges, %zu comm edges, "
       "%zu blocking, %zu suppressed)\n",
-      path.c_str(), files_scanned, functions, call_edges,
-      comm->array().size(), unsuppressed, suppressed);
+      path.c_str(), MetricValue(benchmarks, "flow.files_scanned"),
+      MetricValue(benchmarks, "flow.functions"),
+      MetricValue(benchmarks, "flow.call_edges"), comm->array().size(),
+      unsuppressed, suppressed);
   return true;
 }
+
+using Validator = bool (*)(const std::string& path, const JsonValue& doc);
+
+// Parses `path` as a JSON object and runs `checks` on it in order,
+// stopping at the first that fails.
+bool CheckFile(const std::string& path,
+               std::initializer_list<Validator> checks) {
+  StatusOr<JsonValue> doc = ParseJsonFile(path);
+  CHECK_OR_FAIL(doc.ok(), "%s: parse failed: %s", path.c_str(),
+                doc.status().ToString().c_str());
+  CHECK_OR_FAIL(doc->is_object(), "%s: top level is not an object",
+                path.c_str());
+  for (Validator check : checks) {
+    if (!check(path, *doc)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Each mode checks one BENCH report: the generic shape first, then its own
+// rules.
+struct Mode {
+  std::string_view flag;
+  Validator validate;
+  const char* report;  // the usual file name, for the usage text
+};
+
+constexpr Mode kModes[] = {
+    {"--campaign", ValidateCampaign, "BENCH_fault_campaign.json"},
+    {"--lint", ValidateLint, "xoar_lint_report.json"},
+    {"--flow", ValidateFlow, "BENCH_analysis.json"},
+    {"--sim", ValidateSimCore, "BENCH_sim_core.json"},
+    {"--density", ValidateDensity, "BENCH_density.json"},
+    {"--replay", ValidateReplay, "BENCH_replay.json"},
+    {"--fleet", ValidateFleet, "BENCH_fleet.json"},
+};
 
 }  // namespace
 }  // namespace xoar
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::string(argv[1]) == "--campaign") {
-    return xoar::ValidateCampaign(argv[2]) ? 0 : 1;
-  }
-  if (argc == 3 && std::string(argv[1]) == "--lint") {
-    return xoar::ValidateLint(argv[2]) ? 0 : 1;
-  }
-  if (argc == 3 && std::string(argv[1]) == "--flow") {
-    return xoar::ValidateFlow(argv[2]) ? 0 : 1;
-  }
-  if (argc == 3 && std::string(argv[1]) == "--sim") {
-    return xoar::ValidateSimCore(argv[2]) ? 0 : 1;
-  }
-  if (argc == 3 && std::string(argv[1]) == "--density") {
-    return xoar::ValidateDensity(argv[2]) ? 0 : 1;
-  }
-  if (argc == 3 && std::string(argv[1]) == "--replay") {
-    return xoar::ValidateReplay(argv[2]) ? 0 : 1;
-  }
-  if (argc == 3 && std::string(argv[1]) == "--fleet") {
-    return xoar::ValidateFleet(argv[2]) ? 0 : 1;
-  }
+  using xoar::CheckFile;
   if (argc != 3) {
-    std::fprintf(stderr,
-                 "usage: %s <metrics.json> <trace.json>\n"
-                 "       %s --campaign <BENCH_fault_campaign.json>\n"
-                 "       %s --lint <xoar_lint_report.json>\n"
-                 "       %s --flow <BENCH_analysis.json>\n"
-                 "       %s --sim <BENCH_sim_core.json>\n"
-                 "       %s --density <BENCH_density.json>\n"
-                 "       %s --replay <BENCH_replay.json>\n"
-                 "       %s --fleet <BENCH_fleet.json>\n",
-                 argv[0], argv[0], argv[0], argv[0], argv[0], argv[0],
-                 argv[0], argv[0]);
+    std::fprintf(stderr, "usage: %s <metrics.json> <trace.json>\n", argv[0]);
+    for (const xoar::Mode& mode : xoar::kModes) {
+      std::fprintf(stderr, "       %s %s <%s>\n", argv[0],
+                   std::string(mode.flag).c_str(), mode.report);
+    }
     return 2;
   }
-  if (!xoar::ValidateMetrics(argv[1])) {
-    return 1;
+  for (const xoar::Mode& mode : xoar::kModes) {
+    if (mode.flag == argv[1]) {
+      return CheckFile(argv[2], {xoar::ValidateMetrics, mode.validate}) ? 0
+                                                                        : 1;
+    }
   }
-  if (!xoar::ValidateTrace(argv[2])) {
-    return 1;
-  }
-  return 0;
+  return CheckFile(argv[1], {xoar::ValidateMetrics}) &&
+                 CheckFile(argv[2], {xoar::ValidateTrace})
+             ? 0
+             : 1;
 }

@@ -20,7 +20,6 @@
 // --strict promotes warnings (declared-but-dead communication edges,
 // stale xoar-flow suppressions) to blocking findings.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -108,14 +107,14 @@ int Run(const std::string& root, const std::string& json_path, bool quiet,
                summary.unsuppressed > 0 ? stderr : stdout);
   }
   if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "xoar_flow: cannot write %s\n", json_path.c_str());
+    const Status status = BenchJson::WriteFile(
+        json_path, FormatFlowJson(result, summary,
+                                  ContainmentSideBySide(config, result),
+                                  /*extra_gauges=*/{}));
+    if (!status.ok()) {
+      std::fprintf(stderr, "xoar_flow: %s\n", status.ToString().c_str());
       return 2;
     }
-    out << FormatFlowJson(result, summary,
-                          ContainmentSideBySide(config, result),
-                          /*extra_gauges=*/{});
   }
   return summary.unsuppressed > 0 ? 1 : 0;
 }

@@ -17,7 +17,6 @@
 // promotes warnings (stale suppression comments) to blocking findings.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "src/analysis/report.h"
@@ -54,13 +53,12 @@ int Run(const std::string& root, const std::string& json_path, bool quiet,
                summary.unsuppressed > 0 ? stderr : stdout);
   }
   if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "xoar_lint: cannot write %s\n",
-                   json_path.c_str());
+    const Status status =
+        BenchJson::WriteFile(json_path, FormatJson(findings, summary));
+    if (!status.ok()) {
+      std::fprintf(stderr, "xoar_lint: %s\n", status.ToString().c_str());
       return 2;
     }
-    out << FormatJson(findings, summary);
   }
   return summary.unsuppressed > 0 ? 1 : 0;
 }
